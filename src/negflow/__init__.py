@@ -20,10 +20,8 @@ from .characterize import (
 from .cycles import (
     Cycle,
     CycleDecomposition,
-    SignClass,
     TwoCycle,
     TwoCycleShape,
-    classify,
     decompose_circulation,
     enumerate_cycles,
     enumerate_two_cycles,
@@ -40,14 +38,12 @@ from .generators import Lcg, gen_fig1, gen_fig3, gen_random
 from .graph import (
     Arc,
     ArcVector,
-    Rational,
     WeightedDigraph,
     characteristic_vector,
     parse_arc_vector,
     parse_graph,
     serialize_arc_vector,
     serialize_graph,
-    strongly_connected_components,
     subgraph,
     total_weight,
 )
@@ -58,7 +54,6 @@ from .polyhedra import (
     VertexSet,
     build_P,
     build_P_prime,
-    exact_rank,
     is_feasible_point,
     oracle_certifies_vertex,
     oracle_extreme_directions,
@@ -73,7 +68,6 @@ from .reduction import (
     brute_force_sat,
     build_reduction,
     decide_ve01,
-    has_long_cycle,
     parse_dimacs_cnf,
     trivial_vertex_family,
 )
@@ -99,9 +93,7 @@ __all__ = [
     "NotACirculation",
     "Occurrence",
     "ParseError",
-    "Rational",
     "ReductionArtifact",
-    "SignClass",
     "TwoCycle",
     "TwoCycleShape",
     "Ve01Report",
@@ -112,7 +104,6 @@ __all__ = [
     "build_P_prime",
     "build_reduction",
     "characteristic_vector",
-    "classify",
     "decide_ve01",
     "decompose_circulation",
     "direction_from_two_cycle",
@@ -120,11 +111,9 @@ __all__ = [
     "directions_from_cycles",
     "enumerate_cycles",
     "enumerate_two_cycles",
-    "exact_rank",
     "gen_fig1",
     "gen_fig3",
     "gen_random",
-    "has_long_cycle",
     "is_feasible_point",
     "is_two_cycle",
     "oracle_certifies_vertex",
@@ -135,7 +124,6 @@ __all__ = [
     "parse_graph",
     "serialize_arc_vector",
     "serialize_graph",
-    "strongly_connected_components",
     "subgraph",
     "total_weight",
     "trivial_vertex_family",

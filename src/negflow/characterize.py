@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 
 from .cycles import (
     Cycle,
@@ -50,26 +51,26 @@ def direction_from_two_cycle(g: WeightedDigraph, tc: TwoCycle) -> ArcVector:
 
 
 def vertices_from_negative_cycles(
-    g: WeightedDigraph, cap: int = DEFAULT_CYCLE_CAP
+    g: WeightedDigraph, cycles: Iterable[Cycle]
 ) -> VertexSet:
     points = {
         vertex_from_cycle(g, c)
-        for c in enumerate_cycles(g, cap)
+        for c in cycles
         if c.weight < 0
     }
     return VertexSet(tuple(sorted(points, key=lambda p: p.entries)))
 
 
 def directions_from_cycles(
-    g: WeightedDigraph, cap: int = DEFAULT_CYCLE_CAP
+    g: WeightedDigraph, cycles: Iterable[Cycle], two_cycles: Iterable[TwoCycle]
 ) -> VertexSet:
     """Deduplicated union of zero-cycle and 2-cycle direction vectors."""
     points = {
         direction_from_zero_cycle(g, c)
-        for c in enumerate_cycles(g, cap)
+        for c in cycles
         if c.weight == 0
     }
-    for tc in enumerate_two_cycles(g, cap):
+    for tc in two_cycles:
         points.add(direction_from_two_cycle(g, tc))
     return VertexSet(tuple(sorted(points, key=lambda p: p.entries)))
 
@@ -145,9 +146,9 @@ def verify_theorem1(
 ) -> CharacterizationReport:
     """Exact set comparison of both characterizations against the oracle."""
     cycles = enumerate_cycles(g, cycle_cap)
-    two_cycles = enumerate_two_cycles(g, cycle_cap)
-    formula_vertices = vertices_from_negative_cycles(g, cycle_cap)
-    formula_directions = directions_from_cycles(g, cycle_cap)
+    two_cycles = enumerate_two_cycles(g, cycles, cycle_cap)
+    formula_vertices = vertices_from_negative_cycles(g, cycles)
+    formula_directions = directions_from_cycles(g, cycles, two_cycles)
     oracle_v = oracle_vertices(build_P(g), oracle_cap)
     oracle_d = oracle_vertices(build_P_prime(g), oracle_cap)
     return CharacterizationReport(

@@ -19,7 +19,13 @@ from .characterize import (
     verify_theorem1,
     vertices_from_negative_cycles,
 )
-from .cycles import TwoCycleShape, decompose_circulation, format_cycle
+from .cycles import (
+    TwoCycleShape,
+    decompose_circulation,
+    enumerate_cycles,
+    enumerate_two_cycles,
+    format_cycle,
+)
 from .errors import CapExceeded, NegflowError, ParseError
 from .generators import gen_fig1, gen_fig3, gen_random
 from .graph import parse_arc_vector, parse_graph, serialize_graph
@@ -144,12 +150,16 @@ def _read(path: Path) -> str:
 def _run(args: argparse.Namespace) -> int:
     if args.command == "vertices":
         g = parse_graph(_read(args.graph))
-        for point in vertices_from_negative_cycles(g, _cycle_cap(args)).points:
+        cycles = enumerate_cycles(g, _cycle_cap(args))
+        for point in vertices_from_negative_cycles(g, cycles).points:
             print(format_tagged_point("v", point))
         return 0
     if args.command == "directions":
         g = parse_graph(_read(args.graph))
-        for point in directions_from_cycles(g, _cycle_cap(args)).points:
+        cap = _cycle_cap(args)
+        cycles = enumerate_cycles(g, cap)
+        two_cycles = enumerate_two_cycles(g, cycles, cap)
+        for point in directions_from_cycles(g, cycles, two_cycles).points:
             print(format_tagged_point("d", point))
         return 0
     if args.command == "oracle":

@@ -1,4 +1,4 @@
-"""Simple directed cycles: enumeration, sign classes, 2-cycles, decomposition.
+"""Simple directed cycles: enumeration, 2-cycles, decomposition.
 
 A cycle is a sequence of arcs that visits no node twice; it is stored in
 canonical rotation (starting at its smallest arc id) so equal cycles compare
@@ -16,12 +16,6 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import CapExceeded, DichotomyViolation, NotACirculation
 from .graph import ArcVector, WeightedDigraph
-
-
-class SignClass(Enum):
-    NEGATIVE = "negative"
-    ZERO = "zero"
-    POSITIVE = "positive"
 
 
 class TwoCycleShape(Enum):
@@ -177,9 +171,7 @@ def _iter_arc_cycles(
                 yield combo
 
 
-def enumerate_cycles(
-    g: WeightedDigraph, cap: int, arc_ids: Iterable[int] | None = None
-) -> tuple[Cycle, ...]:
+def enumerate_cycles(g: WeightedDigraph, cap: int) -> tuple[Cycle, ...]:
     """All simple cycles, canonical and sorted lexicographically by arc ids.
 
     Raises CapExceeded as soon as more than ``cap`` cycles are found.
@@ -187,20 +179,12 @@ def enumerate_cycles(
     if cap < 1:
         raise ValueError("cap must be positive")
     found: list[Cycle] = []
-    for seq in _iter_arc_cycles(g, arc_ids):
+    for seq in _iter_arc_cycles(g):
         found.append(make_cycle(g, seq))
         if len(found) > cap:
             raise CapExceeded("cycles", cap, f"graph has more than {cap} cycles")
     found.sort(key=lambda c: c.arc_ids)
     return tuple(found)
-
-
-def classify(cycle: Cycle) -> SignClass:
-    if cycle.weight < 0:
-        return SignClass.NEGATIVE
-    if cycle.weight > 0:
-        return SignClass.POSITIVE
-    return SignClass.ZERO
 
 
 def _shared_arcs_shape(g: WeightedDigraph, shared: set[int]) -> TwoCycleShape:
@@ -251,13 +235,15 @@ def is_two_cycle(g: WeightedDigraph, c1: Cycle, c2: Cycle) -> TwoCycle | None:
     return TwoCycle(c1, c2, shape, c2.weight / denom, -c1.weight / denom)
 
 
-def enumerate_two_cycles(g: WeightedDigraph, cap: int) -> tuple[TwoCycle, ...]:
-    """All 2-cycles, ordered by (negative, positive) canonical arc ids.
+def enumerate_two_cycles(
+    g: WeightedDigraph, cycles: Sequence[Cycle], cap: int
+) -> tuple[TwoCycle, ...]:
+    """All 2-cycles among ``cycles``, in the order of the given cycles.
 
-    The cap bounds both the underlying cycle enumeration and the number
-    of sign-mixed pairs tested.
+    Given the sorted output of ``enumerate_cycles``, that is the order of
+    (negative, positive) canonical arc ids. The cap bounds the number of
+    sign-mixed pairs tested.
     """
-    cycles = enumerate_cycles(g, cap)
     negatives = [c for c in cycles if c.weight < 0]
     positives = [c for c in cycles if c.weight > 0]
     if len(negatives) * len(positives) > cap:

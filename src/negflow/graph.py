@@ -27,10 +27,6 @@ from typing import Iterable, Sequence
 
 from .errors import ParseError
 
-# The exact rational scalar type used throughout the package. Fraction
-# guarantees lowest terms and a positive denominator on construction.
-Rational = Fraction
-
 _RATIONAL_RE = re.compile(r"(-?\d+)(?:/(\d+))?")
 
 
@@ -46,10 +42,6 @@ def parse_rational(text: str) -> Fraction:
     if den == 0:
         raise ValueError(f"zero denominator in {text!r}")
     return Fraction(num, den)
-
-
-def format_rational(value: Fraction) -> str:
-    return str(value)
 
 
 @dataclass(frozen=True)
@@ -204,7 +196,7 @@ def serialize_graph(g: WeightedDigraph, comments: Sequence[str] = ()) -> str:
     lines.append(f"p {g.node_count} {g.arc_count}")
     for arc in g.arcs:
         lines.append(
-            f"a {arc.tail + 1} {arc.head + 1} {format_rational(arc.weight)}"
+            f"a {arc.tail + 1} {arc.head + 1} {arc.weight}"
         )
     return "\n".join(lines) + "\n"
 
@@ -237,7 +229,7 @@ def parse_arc_vector(text: str, arc_count: int) -> ArcVector:
 
 
 def serialize_arc_vector(v: ArcVector) -> str:
-    lines = [f"e {i} {format_rational(v.entries[i])}" for i in v.support()]
+    lines = [f"e {i} {v.entries[i]}" for i in v.support()]
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -260,61 +252,6 @@ def characteristic_vector(g: WeightedDigraph, arc_ids: Iterable[int]) -> ArcVect
     for arc_id in _check_arc_ids(g, arc_ids):
         entries[arc_id] = Fraction(1)
     return ArcVector(tuple(entries))
-
-
-def strongly_connected_components(g: WeightedDigraph) -> tuple[tuple[int, ...], ...]:
-    """SCCs as sorted node tuples, ordered by smallest contained node.
-
-    Iterative Tarjan; deterministic because nodes and out-arcs are visited
-    in increasing order.
-    """
-    n = g.node_count
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    components: list[list[int]] = []
-    counter = 0
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        work: list[list[int]] = [[root, 0]]
-        while work:
-            frame = work[-1]
-            v, next_arc = frame
-            if next_arc == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            succ = g.out_arcs[v]
-            while frame[1] < len(succ):
-                w = succ[frame[1]].head
-                frame[1] += 1
-                if index[w] == -1:
-                    work.append([w, 0])
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                components.append(sorted(comp))
-    components.sort(key=lambda c: c[0])
-    return tuple(tuple(c) for c in components)
 
 
 def subgraph(g: WeightedDigraph, arc_ids: Iterable[int]) -> WeightedDigraph:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import CapExceeded, NegflowError
 from .graph import ArcVector, WeightedDigraph
@@ -85,32 +85,6 @@ def _flow_rows(g: WeightedDigraph) -> list[tuple[tuple[Fraction, ...], Fraction]
                 coeffs[arc.arc_id] -= 1
         rows.append((tuple(coeffs), Fraction(0)))
     return rows
-
-
-def exact_rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Rank over the rationals by exact Gaussian elimination."""
-    matrix = [list(map(Fraction, row)) for row in rows]
-    if not matrix:
-        return 0
-    cols = len(matrix[0])
-    rank = 0
-    for col in range(cols):
-        pivot = next(
-            (r for r in range(rank, len(matrix)) if matrix[r][col] != 0), None
-        )
-        if pivot is None:
-            continue
-        matrix[rank], matrix[pivot] = matrix[pivot], matrix[rank]
-        inv = 1 / matrix[rank][col]
-        matrix[rank] = [v * inv for v in matrix[rank]]
-        for r in range(len(matrix)):
-            if r != rank and matrix[r][col] != 0:
-                f = matrix[r][col]
-                matrix[r] = [a - f * b for a, b in zip(matrix[r], matrix[rank])]
-        rank += 1
-        if rank == len(matrix):
-            break
-    return rank
 
 
 def _solve_on_support(
@@ -316,12 +290,3 @@ def _phase1_feasible(h: HRep) -> bool:
         basis[pivot_row] = entering
     return z[width] == 0
 
-
-def hrep_to_text(h: HRep) -> str:
-    """Exchange format: one ``eq`` line per equality, then ``nonneg all``."""
-    lines = []
-    for coeffs, rhs in h.equalities:
-        body = " ".join(str(c) for c in coeffs)
-        lines.append(f"eq {rhs} : {body}")
-    lines.append("nonneg all")
-    return "\n".join(lines) + "\n"

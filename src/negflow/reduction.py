@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .characterize import vertices_from_negative_cycles
-from .cycles import Cycle, cycle_nodes, enumerate_cycles
+from .characterize import _bool, vertex_from_cycle
+from .cycles import cycle_nodes, enumerate_cycles
 from .errors import NegflowError, ParseError
 from .graph import Arc, ArcVector, WeightedDigraph, characteristic_vector
 
@@ -88,7 +88,11 @@ class ReductionArtifact:
 
 
 def parse_dimacs_cnf(text: str) -> CnfFormula:
-    """Parse DIMACS CNF; raises ParseError naming the offending line."""
+    """Parse DIMACS CNF; raises ParseError naming the offending line.
+
+    A line starting with ``%`` ends the clause data, as in the SATLIB
+    benchmark files; the rest of the text is ignored.
+    """
     variable_count: int | None = None
     declared_clauses = 0
     clauses: list[tuple[int, ...]] = []
@@ -99,6 +103,8 @@ def parse_dimacs_cnf(text: str) -> CnfFormula:
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
+        if line.startswith("%"):
+            break
         if line.startswith("p"):
             if variable_count is not None:
                 raise ParseError(lineno, "duplicate p header")
@@ -253,21 +259,6 @@ def trivial_vertex_family(art: ReductionArtifact) -> tuple[ArcVector, ...]:
     )
 
 
-def has_long_cycle(art: ReductionArtifact, cap: int) -> Cycle | None:
-    """Smallest weight -1 simple cycle through every connector node.
-
-    The weight filter is part of the definition: cycles that dip between
-    the variable and clause sections mid-chain can visit every connector
-    while accumulating nonnegative weight, so node coverage alone does
-    not imply weight -1.
-    """
-    required = set(art.connectors)
-    for cycle in enumerate_cycles(art.graph, cap):
-        if cycle.weight == -1 and required <= set(cycle_nodes(art.graph, cycle)):
-            return cycle
-    return None
-
-
 def brute_force_sat(f: CnfFormula) -> tuple[bool, dict[int, bool] | None]:
     """Exhaustive satisfiability check; first witness in lexicographic order."""
     if f.variable_count > MAX_SAT_VARIABLES:
@@ -325,10 +316,6 @@ class Ve01Report:
         return "\n".join(lines) + "\n"
 
 
-def _bool(value: bool) -> str:
-    return "true" if value else "false"
-
-
 def decide_ve01(f: CnfFormula, cap: int) -> Ve01Report:
     """Compare the trivial vertex family with the full vertex set.
 
@@ -340,11 +327,9 @@ def decide_ve01(f: CnfFormula, cap: int) -> Ve01Report:
     g = art.graph
     trivial = trivial_vertex_family(art)
     trivial_set = set(trivial)
-    negative = [c for c in enumerate_cycles(g, cap) if c.weight < 0]
-    by_vertex: dict[ArcVector, Cycle] = {}
-    for cycle in negative:
-        scale = Fraction(-1) / cycle.weight
-        by_vertex[characteristic_vector(g, cycle.arc_ids).scale(scale)] = cycle
+    by_vertex = {
+        vertex_from_cycle(g, c): c for c in enumerate_cycles(g, cap) if c.weight < 0
+    }
     vertices = tuple(sorted(by_vertex, key=lambda p: p.entries))
     extra = tuple(p for p in vertices if p not in trivial_set)
     required = set(art.connectors)

@@ -173,7 +173,7 @@ def _direction_count_meets_bound(
     count = len(zeros) + found
     if count >= bound:
         return True, count, bound
-    count = len(zeros) + len(enumerate_two_cycles(g, CYCLE_CAP))
+    count = len(zeros) + len(enumerate_two_cycles(g, negatives + positives, CYCLE_CAP))
     return count >= bound, count, bound
 
 
@@ -223,7 +223,8 @@ def corpus_sweep(cnf_corpus: list[CnfFormula]) -> SweepTotals:
                 break
 
         if m == 1:
-            count = len(directions_from_cycles(g, CYCLE_CAP).points)
+            two_cycles = enumerate_two_cycles(g, cycles, CYCLE_CAP)
+            count = len(directions_from_cycles(g, cycles, two_cycles).points)
             bound = max(len(positives), len(negatives)) + len(zeros)
             totals.single_clause_rows.append(
                 (idx, len(positives), count, len(zeros), bound)
@@ -247,9 +248,11 @@ def test_criterion_1_characterization_matches_oracle(
     start = time.monotonic()
     mismatches = []
     for idx, g in enumerate(graph_corpus):
-        formula_v = vertices_from_negative_cycles(g, CYCLE_CAP)
+        cycles = enumerate_cycles(g, CYCLE_CAP)
+        two_cycles = enumerate_two_cycles(g, cycles, CYCLE_CAP)
+        formula_v = vertices_from_negative_cycles(g, cycles)
         oracle_v = oracle_vertices(build_P(g), ORACLE_CAP)
-        formula_d = directions_from_cycles(g, CYCLE_CAP)
+        formula_d = directions_from_cycles(g, cycles, two_cycles)
         oracle_d = oracle_extreme_directions(g, ORACLE_CAP)
         if set(formula_v.points) != set(oracle_v.points) or set(
             formula_d.points
@@ -343,7 +346,7 @@ def test_criterion_5_fig3_counts() -> None:
         negatives = sum(1 for c in cycles if c.weight < 0)
         positives = sum(1 for c in cycles if c.weight > 0)
         zeros = len(cycles) - negatives - positives
-        pairs = len(enumerate_two_cycles(g, CYCLE_CAP))
+        pairs = len(enumerate_two_cycles(g, cycles, CYCLE_CAP))
         rows.append(f"k={k}: {pairs} two-cycles, {positives} positive")
         if pairs != 2 * k:
             problems.append(f"k={k}: {pairs} two-cycles, want {2 * k}")
@@ -378,7 +381,7 @@ def test_criterion_6_coefficient_identities(
     bad = 0
     for g in list(graph_corpus) + [gen_fig3(4)]:
         prime = None
-        for tc in enumerate_two_cycles(g, CYCLE_CAP):
+        for tc in enumerate_two_cycles(g, enumerate_cycles(g, CYCLE_CAP), CYCLE_CAP):
             checked += 1
             if prime is None:
                 prime = build_P_prime(g)

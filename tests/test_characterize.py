@@ -1,5 +1,7 @@
 """Cycle-formula vertex/direction construction vs. the oracle."""
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -16,13 +18,21 @@ from negflow.characterize import (
     vertex_from_cycle,
     vertices_from_negative_cycles,
 )
+from negflow import cycles as cycles_module
+from negflow.cli import main
 from negflow.cycles import TwoCycleShape, enumerate_cycles, enumerate_two_cycles
 from negflow.generators import gen_fig1, gen_fig3
-from negflow.graph import Arc, ArcVector, WeightedDigraph, parse_graph
+from negflow.graph import Arc, ArcVector, WeightedDigraph, parse_graph, serialize_graph
 from negflow.polyhedra import VertexSet, build_P_prime, oracle_certifies_vertex
+from negflow.reduction import decide_ve01, parse_dimacs_cnf
 
 TRIANGLE = parse_graph("p 3 3\na 1 2 -1\na 2 3 -1\na 3 1 -1\n")
 DIGON = parse_graph("p 2 2\na 1 2 -1/2\na 2 1 -1/2\n")
+
+
+def _directions(g: WeightedDigraph, cap: int) -> VertexSet:
+    cycles = enumerate_cycles(g, cap)
+    return directions_from_cycles(g, cycles, enumerate_two_cycles(g, cycles, cap))
 
 
 def test_vertex_from_triangle() -> None:
@@ -44,7 +54,7 @@ def test_vertex_requires_negative_cycle() -> None:
 
 def test_vertices_empty_without_negative_cycles() -> None:
     g = parse_graph("p 3 3\na 1 2 1\na 2 3 1\na 3 1 1\n")
-    assert vertices_from_negative_cycles(g, 10).points == ()
+    assert vertices_from_negative_cycles(g, enumerate_cycles(g, 10)).points == ()
 
 
 def test_direction_from_zero_cycle() -> None:
@@ -61,13 +71,13 @@ def test_direction_from_zero_cycle_rejects_signed() -> None:
 
 def test_edge_disjoint_direction_is_uniform_sixth() -> None:
     g = gen_fig1(TwoCycleShape.EDGE_DISJOINT)
-    points = directions_from_cycles(g, 100).points
+    points = _directions(g, 100).points
     assert [p.entries for p in points] == [(Fraction(1, 6),) * 6]
 
 
 def test_three_path_direction_identities() -> None:
     g = gen_fig1(TwoCycleShape.THREE_PATH)
-    tc = enumerate_two_cycles(g, 100)[0]
+    tc = enumerate_two_cycles(g, enumerate_cycles(g, 100), 100)[0]
     d = direction_from_two_cycle(g, tc)
     assert d.entries == (Fraction(2, 5), Fraction(1, 5), Fraction(1, 5), Fraction(1, 5))
     assert sum(d.entries) == 1
@@ -76,7 +86,7 @@ def test_three_path_direction_identities() -> None:
 
 def test_fig3_k1_directions() -> None:
     g = gen_fig3(1)
-    points = directions_from_cycles(g, 100).points
+    points = _directions(g, 100).points
     eighth, quarter = Fraction(1, 8), Fraction(1, 4)
     assert {p.entries for p in points} == {
         (eighth, Fraction(3, 8), quarter, quarter, 0, 0),
@@ -100,6 +110,52 @@ def test_verify_fig3_k2_counts() -> None:
     assert report.two_cycles == 4
     assert len(report.formula_directions.points) == 4
     assert report.zero_cycles == 0
+
+
+def _count_calls(monkeypatch: pytest.MonkeyPatch) -> dict[str, list]:
+    """Wrap enumerate_cycles and is_two_cycle at every negflow name bound
+    to them, recording the arguments of each call."""
+    calls: dict[str, list] = {"enumerate_cycles": [], "is_two_cycle": []}
+    for name, record in calls.items():
+        original = getattr(cycles_module, name)
+
+        def counted(*args, _original=original, _record=record):
+            _record.append(args)
+            return _original(*args)
+
+        for mod_name, module in list(sys.modules.items()):
+            if mod_name.split(".")[0] != "negflow":
+                continue
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+def test_verify_enumerates_cycles_once(monkeypatch: pytest.MonkeyPatch) -> None:
+    calls = _count_calls(monkeypatch)
+    report = verify_theorem1(gen_fig3(2), 2**10, 2**14)
+    assert report.all_match
+    assert len(calls["enumerate_cycles"]) == 1
+    pairs = [(c1.arc_ids, c2.arc_ids) for _, c1, c2 in calls["is_two_cycle"]]
+    assert report.negative_cycles * report.positive_cycles == 8
+    assert len(pairs) == len(set(pairs)) == 8
+
+
+def test_cli_and_decide_enumerate_cycles_once(
+    tmp_path: Path, monkeypatch: pytest.MonkeyPatch
+) -> None:
+    calls = _count_calls(monkeypatch)
+    graph = tmp_path / "fig3.graph"
+    graph.write_text(serialize_graph(gen_fig3(2)))
+    for command, pairs in (("vertices", 0), ("directions", 8)):
+        assert main([command, str(graph)]) == 0
+        assert len(calls["enumerate_cycles"]) == 1
+        assert len(calls["is_two_cycle"]) == pairs
+        calls["enumerate_cycles"].clear()
+        calls["is_two_cycle"].clear()
+    decide_ve01(parse_dimacs_cnf("p cnf 2 2\n1 2 0\n-1 -2 0\n"), 2**16)
+    assert len(calls["enumerate_cycles"]) == 1
 
 
 def test_report_text_shape() -> None:

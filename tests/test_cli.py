@@ -114,6 +114,17 @@ def test_decide_satisfiable(tmp_path: Path, capsys: pytest.CaptureFixture[str]) 
     assert "witness: x1=" in out
 
 
+def test_decide_accepts_satlib_trailer(
+    tmp_path: Path, capsys: pytest.CaptureFixture[str]
+) -> None:
+    cnf = tmp_path / "satlib.cnf"
+    cnf.write_text("p cnf 2 2\n1 -2 0\n2 0\n%\n0\n")
+    assert main(["decide", str(cnf)]) == 0
+    out = capsys.readouterr().out
+    assert "satisfiable: true" in out
+    assert "witness: x1=1 x2=1" in out
+
+
 def test_decide_unsatisfiable(tmp_path: Path, capsys: pytest.CaptureFixture[str]) -> None:
     cnf = tmp_path / "u.cnf"
     cnf.write_text(UNSAT)

@@ -1,4 +1,4 @@
-"""Cycle enumeration, classification, 2-cycles, and decomposition.
+"""Cycle enumeration, cycle weights, 2-cycles, and decomposition.
 
 The independent oracle here is a plain backtracking enumerator
 (`brute_cycles`), structurally unrelated to the blocked-search
@@ -12,9 +12,7 @@ from hypothesis import strategies as st
 
 from negflow.cycles import (
     Cycle,
-    SignClass,
     TwoCycleShape,
-    classify,
     cycle_nodes,
     decompose_circulation,
     enumerate_cycles,
@@ -163,17 +161,17 @@ def test_node_cycles_match_networkx() -> None:
         assert got == expected
 
 
-def test_classify_examples() -> None:
-    assert classify(enumerate_cycles(TRIANGLE, 10)[0]) is SignClass.NEGATIVE
+def test_cycle_sign_examples() -> None:
+    assert enumerate_cycles(TRIANGLE, 10)[0].weight < 0
     g = parse_graph("p 3 3\na 1 2 1\na 2 3 -1\na 3 1 0\n")
-    assert classify(enumerate_cycles(g, 10)[0]) is SignClass.ZERO
+    assert enumerate_cycles(g, 10)[0].weight == 0
     d = parse_graph("p 2 2\na 1 2 -1/2\na 2 1 -1/2\n")
-    assert classify(enumerate_cycles(d, 10)[0]) is SignClass.NEGATIVE
+    assert enumerate_cycles(d, 10)[0].weight < 0
 
 
 def _two_cycles_of(g: WeightedDigraph):
     cycles = enumerate_cycles(g, 2**10)
-    return cycles, enumerate_two_cycles(g, 2**12)
+    return cycles, enumerate_two_cycles(g, cycles, 2**12)
 
 
 def test_edge_disjoint_two_cycle_coefficients() -> None:
@@ -229,13 +227,17 @@ def test_two_cycle_union_contains_exactly_both() -> None:
     assert len(enumerate_cycles(h, 100)) == 2
 
 
+def _two_cycles(g: WeightedDigraph, cap: int):
+    return enumerate_two_cycles(g, enumerate_cycles(g, cap), cap)
+
+
 def test_two_cycle_count_fig3() -> None:
-    assert len(enumerate_two_cycles(gen_fig3(1), 2**12)) == 2
-    assert len(enumerate_two_cycles(gen_fig3(4), 2**14)) == 8
+    assert len(_two_cycles(gen_fig3(1), 2**12)) == 2
+    assert len(_two_cycles(gen_fig3(4), 2**14)) == 8
 
 
 def test_no_positive_cycles_means_no_two_cycles() -> None:
-    assert enumerate_two_cycles(TRIANGLE, 100) == ()
+    assert _two_cycles(TRIANGLE, 100) == ()
 
 
 def test_two_cycle_pair_cap() -> None:
@@ -248,8 +250,9 @@ def test_two_cycle_pair_cap() -> None:
         w = "-1" if i < 3 else "1"
         lines += [f"a {u} {v} {w}", f"a {v} {u} 0"]
     g = parse_graph("\n".join(lines) + "\n")
+    cycles = enumerate_cycles(g, 7)
     with pytest.raises(CapExceeded) as exc:
-        enumerate_two_cycles(g, 7)
+        enumerate_two_cycles(g, cycles, 7)
     assert exc.value.kind == "two-cycle pairs"
 
 

@@ -51,7 +51,9 @@ def test_fig3_cycle_counts() -> None:
 
 def test_fig3_two_cycle_count() -> None:
     for k in (1, 2):
-        assert len(enumerate_two_cycles(gen_fig3(k), 2**12)) == 2 * k
+        g = gen_fig3(k)
+        pairs = enumerate_two_cycles(g, enumerate_cycles(g, 2**12), 2**12)
+        assert len(pairs) == 2 * k
 
 
 def test_fig3_rejects_bad_k() -> None:
@@ -65,7 +67,7 @@ def test_fig1_edge_disjoint() -> None:
     assert g.arc_count == 6
     cycles = enumerate_cycles(g, 10)
     assert sorted(c.weight for c in cycles) == [-1, 1]
-    pairs = enumerate_two_cycles(g, 100)
+    pairs = enumerate_two_cycles(g, enumerate_cycles(g, 100), 100)
     assert len(pairs) == 1 and pairs[0].shape is TwoCycleShape.EDGE_DISJOINT
 
 
@@ -73,7 +75,7 @@ def test_fig1_three_path() -> None:
     g = gen_fig1(TwoCycleShape.THREE_PATH)
     assert g.node_count == 3
     assert g.arc_count == 4
-    pairs = enumerate_two_cycles(g, 100)
+    pairs = enumerate_two_cycles(g, enumerate_cycles(g, 100), 100)
     assert len(pairs) == 1 and pairs[0].shape is TwoCycleShape.THREE_PATH
 
 

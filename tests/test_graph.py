@@ -16,7 +16,6 @@ from negflow.graph import (
     parse_rational,
     serialize_arc_vector,
     serialize_graph,
-    strongly_connected_components,
     subgraph,
     total_weight,
 )
@@ -157,30 +156,6 @@ def test_arc_vector_parse_errors() -> None:
         parse_arc_vector("x 0 1\n", 2)
 
 
-def test_scc_triangle_single_component() -> None:
-    g = parse_graph(TRIANGLE)
-    assert strongly_connected_components(g) == ((0, 1, 2),)
-
-
-def test_scc_path_three_singletons() -> None:
-    g = parse_graph("p 3 2\na 1 2 0\na 2 3 0\n")
-    assert strongly_connected_components(g) == ((0,), (1,), (2,))
-
-
-def test_scc_matches_networkx() -> None:
-    nx = pytest.importorskip("networkx")
-    g = parse_graph(
-        "p 6 8\na 1 2 0\na 2 1 0\na 2 3 0\na 3 4 0\na 4 3 0\n"
-        "a 5 5 0\na 4 5 0\na 6 1 0\n"
-    )
-    h = nx.MultiDiGraph()
-    h.add_nodes_from(range(g.node_count))
-    for a in g.arcs:
-        h.add_edge(a.tail, a.head)
-    expected = sorted(tuple(sorted(c)) for c in nx.strongly_connected_components(h))
-    assert sorted(strongly_connected_components(g)) == expected
-
-
 def test_positive_flow_stays_within_one_component() -> None:
     # On a graph made of two negative digons joined by a one-way bridge,
     # every feasible point routes flow inside a single strongly connected
@@ -190,7 +165,7 @@ def test_positive_flow_stays_within_one_component() -> None:
     g = parse_graph(
         "p 4 5\na 1 2 -1/2\na 2 1 -1/2\na 2 3 0\na 3 4 -1/2\na 4 3 -1/2\n"
     )
-    comps = strongly_connected_components(g)
+    comps = ((0, 1), (2, 3))
     comp_of = {n: i for i, comp in enumerate(comps) for n in comp}
     for point in oracle_vertices(build_P(g), 2**10).points:
         for arc_id in point.support():
@@ -245,10 +220,3 @@ def graphs(draw: st.DrawFn) -> WeightedDigraph:
 def test_serialize_parse_identity(g: WeightedDigraph) -> None:
     assert parse_graph(serialize_graph(g)) == g
 
-
-@settings(max_examples=60, deadline=None)
-@given(graphs())
-def test_scc_partition_nodes(g: WeightedDigraph) -> None:
-    comps = strongly_connected_components(g)
-    seen = [n for comp in comps for n in comp]
-    assert sorted(seen) == list(range(g.node_count))

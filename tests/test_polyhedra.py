@@ -11,8 +11,6 @@ from negflow.polyhedra import (
     HRep,
     build_P,
     build_P_prime,
-    exact_rank,
-    hrep_to_text,
     is_feasible_point,
     oracle_certifies_vertex,
     oracle_extreme_directions,
@@ -59,17 +57,6 @@ def test_build_P_prime_rows() -> None:
 def test_hrep_rejects_ragged_rows() -> None:
     with pytest.raises(ValueError):
         HRep(2, (((Fraction(1),), Fraction(0)),))
-
-
-def test_exact_rank() -> None:
-    rows = (
-        (Fraction(1), Fraction(2)),
-        (Fraction(2), Fraction(4)),
-        (Fraction(0), Fraction(1)),
-    )
-    assert exact_rank(rows) == 2
-    assert exact_rank(()) == 0
-    assert exact_rank(((Fraction(0), Fraction(0)),)) == 0
 
 
 def test_digon_unique_feasible_point() -> None:
@@ -174,14 +161,6 @@ def test_oracle_certifies_vertex() -> None:
     assert not oracle_certifies_vertex(hp, mid)
     for point in oracle_vertices(hp, 2**8).points:
         assert oracle_certifies_vertex(hp, point)
-
-
-def test_hrep_to_text_shape() -> None:
-    text = hrep_to_text(build_P(DIGON))
-    lines = text.splitlines()
-    assert lines[-1] == "nonneg all"
-    assert all(line.startswith("eq ") for line in lines[:-1])
-    assert lines[-2] == "eq -1 : -1/2 -1/2"
 
 
 def _arcs(n: int, *arcs: tuple[int, int, int]) -> WeightedDigraph:

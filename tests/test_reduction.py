@@ -23,13 +23,14 @@ from negflow.reduction import (
     brute_force_sat,
     build_reduction,
     decide_ve01,
-    has_long_cycle,
     parse_dimacs_cnf,
     trivial_vertex_family,
 )
 
 SAT_3VAR_3CLAUSE = "p cnf 3 3\n1 2 -3 0\n1 -2 3 0\n-1 2 -3 0\n"
 UNSAT_2VAR = "p cnf 2 4\n1 2 0\n-1 2 0\n1 -2 0\n-1 -2 0\n"
+# SATLIB files end their clause list with a "%" line and a lone "0".
+SATLIB_TRAILER = "p cnf 2 2\n1 -2 0\n2 0\n%\n0\n"
 
 
 def occurrences(f: CnfFormula) -> int:
@@ -52,6 +53,12 @@ def test_parse_three_clause_formula() -> None:
 def test_parse_multiline_clause_and_comments() -> None:
     f = parse_dimacs_cnf("c intro\np cnf 2 1\nc mid\n1\n-2\n0\n")
     assert f.clauses == ((1, -2),)
+
+
+def test_parse_stops_at_satlib_trailer() -> None:
+    f = parse_dimacs_cnf(SATLIB_TRAILER)
+    assert f.variable_count == 2
+    assert f.clauses == ((1, -2), (2,))
 
 
 @pytest.mark.parametrize(
@@ -179,16 +186,20 @@ def test_trivial_family_members_are_oracle_vertices() -> None:
 
 
 def test_long_cycle_exists_iff_satisfiable() -> None:
-    sat_art = build_reduction(parse_dimacs_cnf(SAT_3VAR_3CLAUSE))
-    cycle = has_long_cycle(sat_art, 2**16)
-    assert cycle is not None
-    assert cycle.weight == -1
-    connectors = set(sat_art.connectors)
-    nodes = {sat_art.graph.arcs[i].tail for i in cycle.arc_ids}
-    assert connectors <= nodes
+    # An extra vertex is the 0/1 vector of a weight -1 cycle; read the
+    # cycle's arcs off its support.
+    sat = decide_ve01(parse_dimacs_cnf(SAT_3VAR_3CLAUSE), 2**16)
+    assert sat.extra_vertices
+    g = sat.artifact.graph
+    connectors = set(sat.artifact.connectors)
+    for v in sat.extra_vertices:
+        assert set(v.entries) == {0, 1}
+        assert total_weight(g, v.support()) == -1
+        nodes = {g.arcs[i].tail for i in v.support()}
+        assert connectors <= nodes
 
-    unsat_art = build_reduction(parse_dimacs_cnf(UNSAT_2VAR))
-    assert has_long_cycle(unsat_art, 2**16) is None
+    unsat = decide_ve01(parse_dimacs_cnf(UNSAT_2VAR), 2**16)
+    assert unsat.extra_vertices == ()
 
 
 def test_brute_force_sat_examples() -> None:
