@@ -29,7 +29,6 @@ from .cycles import (
 )
 from .errors import (
     CapExceeded,
-    DichotomyViolation,
     NegflowError,
     NotACirculation,
     ParseError,
@@ -84,7 +83,6 @@ __all__ = [
     "CycleDecomposition",
     "DEFAULT_CYCLE_CAP",
     "DEFAULT_ORACLE_CAP",
-    "DichotomyViolation",
     "FeasibilityResult",
     "HRep",
     "Lcg",

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import product
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
-from .errors import CapExceeded, DichotomyViolation, NotACirculation
+from .errors import CapExceeded, NotACirculation
 from .graph import ArcVector, WeightedDigraph
 
 
@@ -111,19 +111,15 @@ def _node_cycles_from(
             path.pop()
 
 
-def _iter_arc_cycles(
-    g: WeightedDigraph, arc_ids: Iterable[int] | None = None
-) -> Iterator[tuple[int, ...]]:
+def _iter_arc_cycles(g: WeightedDigraph) -> Iterator[tuple[int, ...]]:
     """Yield every simple cycle as an arc-id tuple in traversal order.
 
-    Restricted to ``arc_ids`` when given. Each cycle is produced exactly
-    once; no ordering guarantee (callers sort canonical forms).
+    Each cycle is produced exactly once; no ordering guarantee (callers
+    sort canonical forms).
     """
-    allowed = range(g.arc_count) if arc_ids is None else sorted(set(arc_ids))
     arcmap: dict[int, dict[int, list[int]]] = {}
     loops: list[int] = []
-    for i in allowed:
-        arc = g.arcs[i]
+    for i, arc in enumerate(g.arcs):
         if arc.tail == arc.head:
             loops.append(i)
         else:
@@ -187,48 +183,24 @@ def enumerate_cycles(g: WeightedDigraph, cap: int) -> tuple[Cycle, ...]:
     return tuple(found)
 
 
-def _shared_arcs_shape(g: WeightedDigraph, shared: set[int]) -> TwoCycleShape:
-    if not shared:
-        return TwoCycleShape.EDGE_DISJOINT
-    # Shared arcs must form one directed path.
-    out_of: dict[int, int] = {}
-    into: dict[int, int] = {}
-    for i in shared:
-        arc = g.arcs[i]
-        if arc.tail in out_of or arc.head in into:
-            raise DichotomyViolation(f"shared arcs {sorted(shared)} branch")
-        out_of[arc.tail] = i
-        into[arc.head] = i
-    starts = [t for t in out_of if t not in into]
-    if len(starts) != 1:
-        raise DichotomyViolation(f"shared arcs {sorted(shared)} are not one path")
-    node = starts[0]
-    seen = 0
-    while node in out_of:
-        arc = g.arcs[out_of[node]]
-        node = arc.head
-        seen += 1
-    if seen != len(shared):
-        raise DichotomyViolation(f"shared arcs {sorted(shared)} are disconnected")
-    return TwoCycleShape.THREE_PATH
-
-
 def is_two_cycle(g: WeightedDigraph, c1: Cycle, c2: Cycle) -> TwoCycle | None:
-    """Decide the 2-cycle property by enumerating the union's cycles.
+    """Decide the 2-cycle property by counting shared nodes and arcs.
 
     Requires w(c1) < 0 < w(c2); returns None when the pair is not a
     2-cycle (wrong signs, equal cycles, or a third cycle in the union).
     """
     if not (c1.weight < 0 < c2.weight) or c1 == c2:
         return None
-    union = set(c1.arc_ids) | set(c2.arc_ids)
-    count = 0
-    for _ in _iter_arc_cycles(g, union):
-        count += 1
-        if count > 2:
-            return None
-    # The union always contains c1 and c2, so count == 2 means exactly them.
-    shape = _shared_arcs_shape(g, set(c1.arc_ids) & set(c2.arc_ids))
+    shared_arcs = set(c1.arc_ids) & set(c2.arc_ids)
+    shared_nodes = set(cycle_nodes(g, c1)).intersection(cycle_nodes(g, c2))
+    # Two distinct simple cycles share arcs only as vertex-disjoint directed
+    # paths, so their shared part has |nodes| - |arcs| components. At two or
+    # more, leaving one component along c2 and coming back along c1 closes a
+    # third cycle. At one or none the union is two disjoint cycles, a
+    # figure-eight or three internally disjoint paths: exactly c1 and c2.
+    if len(shared_nodes) - len(shared_arcs) >= 2:
+        return None
+    shape = TwoCycleShape.THREE_PATH if shared_arcs else TwoCycleShape.EDGE_DISJOINT
     denom = c2.weight * c1.length - c1.weight * c2.length
     if denom <= 0:
         raise ValueError(f"nonpositive 2-cycle denominator {denom}")

@@ -31,10 +31,3 @@ class NotACirculation(NegflowError):
         self.node = node
         super().__init__(message)
 
-
-class DichotomyViolation(NegflowError):
-    """A valid 2-cycle whose shared arcs do not form a single directed path.
-
-    Never observed; raising instead of silently classifying keeps the
-    shape dichotomy an empirically tested fact rather than an assumption.
-    """

@@ -87,6 +87,21 @@ def _flow_rows(g: WeightedDigraph) -> list[tuple[tuple[Fraction, ...], Fraction]
     return rows
 
 
+def _pivot(matrix: list[list[Fraction]], row: int, col: int) -> int:
+    """Scale ``row`` so its ``col`` entry is 1, then clear ``col`` from every
+    other row. Returns the number of other rows changed."""
+    inv = 1 / matrix[row][col]
+    pivot = [v * inv for v in matrix[row]]
+    matrix[row] = pivot
+    updated = 0
+    for r, other in enumerate(matrix):
+        f = other[col]
+        if r != row and f != 0:
+            matrix[r] = [a - f * b for a, b in zip(other, pivot)]
+            updated += 1
+    return updated
+
+
 def _solve_on_support(
     equalities: Sequence[tuple[tuple[Fraction, ...], Fraction]],
     support: Sequence[int],
@@ -108,14 +123,9 @@ def _solve_on_support(
         if pivot is None:
             continue
         matrix[row_at], matrix[pivot] = matrix[pivot], matrix[row_at]
-        inv = 1 / matrix[row_at][col]
-        matrix[row_at] = [v * inv for v in matrix[row_at]]
-        for r in range(len(matrix)):
-            if r != row_at and matrix[r][col] != 0:
-                f = matrix[r][col]
-                matrix[r] = [a - f * b for a, b in zip(matrix[r], matrix[row_at])]
-                if budget is not None:
-                    budget.spend(width + 1)
+        updated = _pivot(matrix, row_at, col)
+        if budget is not None:
+            budget.spend(updated * (width + 1))
         pivot_rows.append(col)
         row_at += 1
         if row_at == len(matrix):
@@ -257,13 +267,15 @@ def _phase1_feasible(h: HRep) -> bool:
         tableau[i][n + i] = Fraction(1)
     basis = [n + i for i in range(rows)]
     width = n + rows
-    # Reduced costs for minimizing the artificial sum.
+    # Phase-1 objective (reduced costs for minimizing the artificial sum),
+    # carried as the last row and left out of the ratio test.
     z = [Fraction(0)] * (width + 1)
     for j in range(n):
         z[j] = sum(row[j] for row in tableau)
     z[width] = sum(row[width] for row in tableau)
+    tableau.append(z)
     while True:
-        entering = next((j for j in range(width) if z[j] > 0), None)
+        entering = next((j for j in range(width) if tableau[rows][j] > 0), None)
         if entering is None:
             break
         best: tuple[Fraction, int, int] | None = None
@@ -275,18 +287,6 @@ def _phase1_feasible(h: HRep) -> bool:
                     best = key
         if best is None:
             raise NegflowError("phase-1 objective unbounded")
-        pivot_row = best[2]
-        inv = 1 / tableau[pivot_row][entering]
-        tableau[pivot_row] = [v * inv for v in tableau[pivot_row]]
-        for i in range(rows):
-            if i != pivot_row and tableau[i][entering] != 0:
-                f = tableau[i][entering]
-                tableau[i] = [
-                    a - f * b for a, b in zip(tableau[i], tableau[pivot_row])
-                ]
-        if z[entering] != 0:
-            f = z[entering]
-            z = [a - f * b for a, b in zip(z, tableau[pivot_row] + [])]
-        basis[pivot_row] = entering
-    return z[width] == 0
-
+        _pivot(tableau, best[2], entering)
+        basis[best[2]] = entering
+    return tableau[rows][width] == 0

@@ -148,9 +148,8 @@ def _direction_count_meets_bound(
     cycles give one vector each, and a 2-cycle's vector determines its pair
     (the union support holds exactly those two cycles), so pairs count too.
     First pass finds one partner per larger-side cycle, which already gives
-    that many distinct pairs; node-disjoint opposite-sign cycles always form
-    a 2-cycle, so that test goes first and is cheap. Only if the early count
-    falls short is the exact pair total computed.
+    that many distinct pairs. Only if the early count falls short is the
+    exact pair total computed.
     """
     bound = max(len(positives), len(negatives)) + len(zeros)
     if len(positives) >= len(negatives):
@@ -158,13 +157,8 @@ def _direction_count_meets_bound(
     else:
         big, small = negatives, positives
     small = sorted(small, key=lambda c: c.length)
-    small_nodes = [frozenset(cycle_nodes(g, s)) for s in small]
     found = 0
     for c in big:
-        nodes = set(cycle_nodes(g, c))
-        if any(nodes.isdisjoint(sn) for sn in small_nodes):
-            found += 1
-            continue
         for s in small:
             pair = (c, s) if c.weight < 0 else (s, c)
             if is_two_cycle(g, *pair) is not None:

@@ -7,7 +7,7 @@ implementation under test; networkx cross-checks node cycles.
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from negflow.cycles import (
@@ -218,13 +218,55 @@ def test_two_cycle_requires_signs() -> None:
     assert is_two_cycle(g, neg, neg) is None
 
 
-def test_two_cycle_union_contains_exactly_both() -> None:
-    g = gen_fig1(TwoCycleShape.THREE_PATH)
-    _, pairs = _two_cycles_of(g)
-    tc = pairs[0]
-    union = sorted(set(tc.negative.arc_ids) | set(tc.positive.arc_ids))
-    h = subgraph(g, union)
-    assert len(enumerate_cycles(h, 100)) == 2
+def _shared_path_shape(
+    g: WeightedDigraph, shared: set[int]
+) -> TwoCycleShape | None:
+    """EDGE_DISJOINT for no shared arc, THREE_PATH when the shared arcs form
+    one directed path, None otherwise."""
+    if not shared:
+        return TwoCycleShape.EDGE_DISJOINT
+    out_of = {g.arcs[i].tail: i for i in shared}
+    heads = {g.arcs[i].head for i in shared}
+    starts = [t for t in out_of if t not in heads]
+    if len(out_of) != len(shared) or len(heads) != len(shared) or len(starts) != 1:
+        return None
+    node, walked = starts[0], 0
+    while node in out_of:
+        node = g.arcs[out_of[node]].head
+        walked += 1
+    return TwoCycleShape.THREE_PATH if walked == len(shared) else None
+
+
+# Parallel arcs 1->2 (weights -1, 1) and 2->1: the pair sharing one return
+# arc is a three-path 2-cycle; the union of an arc-disjoint pair holds all
+# four cycles.
+PARALLEL_ARCS = parse_graph("p 2 4\na 1 2 -1\na 1 2 1\na 2 1 0\na 2 1 0\n")
+# 1->2->3->4->1 and 1->2->5->3->4->6->1 share the separate paths 1->2 and
+# 3->4, so their union also holds the two mixed routes.
+TWO_SHARED_PATHS = parse_graph(
+    "p 6 8\na 1 2 -1\na 2 3 0\na 3 4 0\na 4 1 0\n"
+    "a 2 5 2\na 5 3 0\na 4 6 0\na 6 1 0\n"
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs())
+@example(gen_fig1(TwoCycleShape.THREE_PATH))
+@example(PARALLEL_ARCS)
+@example(TWO_SHARED_PATHS)
+def test_two_cycle_matches_union_enumeration(g: WeightedDigraph) -> None:
+    # Reference: a sign-mixed pair is a 2-cycle exactly when a fresh
+    # enumeration of the union's subgraph finds only the two cycles.
+    cycles = enumerate_cycles(g, 2**12)
+    for c1 in (c for c in cycles if c.weight < 0):
+        for c2 in (c for c in cycles if c.weight > 0):
+            tc = is_two_cycle(g, c1, c2)
+            union = sorted(set(c1.arc_ids) | set(c2.arc_ids))
+            union_cycles = enumerate_cycles(subgraph(g, union), 2**12)
+            assert (tc is not None) == (len(union_cycles) == 2)
+            if tc is not None:
+                shared = set(c1.arc_ids) & set(c2.arc_ids)
+                assert tc.shape is _shared_path_shape(g, shared)
 
 
 def _two_cycles(g: WeightedDigraph, cap: int):
