@@ -17,7 +17,7 @@ from .cycles import (
     enumerate_cycles,
     enumerate_two_cycles,
 )
-from .graph import ArcVector, WeightedDigraph, characteristic_vector
+from .graph import ArcVector, WeightedDigraph
 from .polyhedra import (
     DEFAULT_ORACLE_CAP,
     VertexSet,
@@ -29,25 +29,35 @@ from .polyhedra import (
 DEFAULT_CYCLE_CAP = 2**16
 
 
+def _arc_vector(
+    g: WeightedDigraph, terms: Iterable[tuple[Cycle, Fraction]]
+) -> ArcVector:
+    """Sum of coeff * chi(C) over the terms, written into the cycles' arcs
+    only."""
+    entries = [Fraction(0)] * g.arc_count
+    for cycle, coeff in terms:
+        for arc_id in cycle.arc_ids:
+            entries[arc_id] += coeff
+    return ArcVector(tuple(entries))
+
+
 def vertex_from_cycle(g: WeightedDigraph, cycle: Cycle) -> ArcVector:
     """(-1/w(C)) * chi(C); requires a negative cycle."""
     if cycle.weight >= 0:
         raise ValueError("vertex construction needs a negative cycle")
-    return characteristic_vector(g, cycle.arc_ids).scale(Fraction(-1, 1) / cycle.weight)
+    return _arc_vector(g, [(cycle, Fraction(-1) / cycle.weight)])
 
 
 def direction_from_zero_cycle(g: WeightedDigraph, cycle: Cycle) -> ArcVector:
     """(1/|C|) * chi(C); requires a zero-weight cycle."""
     if cycle.weight != 0:
         raise ValueError("direction construction needs a zero-weight cycle")
-    return characteristic_vector(g, cycle.arc_ids).scale(Fraction(1, cycle.length))
+    return _arc_vector(g, [(cycle, Fraction(1, cycle.length))])
 
 
 def direction_from_two_cycle(g: WeightedDigraph, tc: TwoCycle) -> ArcVector:
     """mu * chi(C1) + mu' * chi(C2)."""
-    return characteristic_vector(g, tc.negative.arc_ids).scale(tc.mu) + (
-        characteristic_vector(g, tc.positive.arc_ids).scale(tc.mu_prime)
-    )
+    return _arc_vector(g, [(tc.negative, tc.mu), (tc.positive, tc.mu_prime)])
 
 
 def vertices_from_negative_cycles(

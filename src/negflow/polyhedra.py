@@ -1,14 +1,17 @@
 """H-representations and a brute-force exact vertex oracle.
 
 The oracle enumerates candidate supports and solves the equality system
-exactly over the rationals; it never touches floating point and has no
-tolerance anywhere. It is deliberately independent of the cycle-based
-characterization it is used to validate.
+exactly; it never touches floating point and has no tolerance anywhere.
+Each equality is scaled to integers once per call, supports are solved and
+phase 1 is run by fraction-free elimination on ``int``, and only accepted
+vertices become ``Fraction``s. It is deliberately independent of the
+cycle-based characterization it is used to validate.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .errors import CapExceeded, NegflowError
@@ -87,35 +90,57 @@ def _flow_rows(g: WeightedDigraph) -> list[tuple[tuple[Fraction, ...], Fraction]
     return rows
 
 
-def _pivot(matrix: list[list[Fraction]], row: int, col: int) -> int:
-    """Scale ``row`` so its ``col`` entry is 1, then clear ``col`` from every
-    other row. Returns the number of other rows changed."""
-    inv = 1 / matrix[row][col]
-    pivot = [v * inv for v in matrix[row]]
-    matrix[row] = pivot
+def _integer_rows(h: HRep) -> list[list[int]]:
+    """Each equality as ``coeffs + [rhs]`` over the integers: the row scaled
+    by the LCM of its denominators, which keeps its solutions and signs."""
+    rows = []
+    for coeffs, rhs in h.equalities:
+        row = (*coeffs, rhs)
+        scale = lcm(*(v.denominator for v in row))
+        rows.append([v.numerator * (scale // v.denominator) for v in row])
+    return rows
+
+
+def _pivot(matrix: list[list[int]], row: int, col: int, prev: int) -> int:
+    """Fraction-free Gauss-Jordan step (Bareiss): clear ``col`` from every
+    other row by ``(p * other - f * pivot_row) // prev``, where ``p`` is the
+    new pivot and ``prev`` the previous one (1 at the first step); rows with
+    a zero in ``col`` are scaled by ``p / prev``. Every division is exact,
+    and each row is then ``p`` times its counterpart in the rational
+    tableau, so the two share zero patterns and signs when ``p > 0``.
+    Returns the number of other rows with a nonzero in ``col``."""
+    pivot_row = matrix[row]
+    p = pivot_row[col]
     updated = 0
     for r, other in enumerate(matrix):
+        if r == row:
+            continue
         f = other[col]
-        if r != row and f != 0:
-            matrix[r] = [a - f * b for a, b in zip(other, pivot)]
+        if f:
+            matrix[r] = [(p * a - f * b) // prev for a, b in zip(other, pivot_row)]
             updated += 1
+        elif p != prev:
+            matrix[r] = [p * a // prev for a in other]
     return updated
 
 
 def _solve_on_support(
-    equalities: Sequence[tuple[tuple[Fraction, ...], Fraction]],
+    rows: Sequence[Sequence[int]],
     support: Sequence[int],
     budget: _Budget | None = None,
-) -> tuple[str, list[Fraction] | None]:
-    """Solve the equalities restricted to the support columns.
+) -> tuple[str, list[int] | None, int]:
+    """Solve the integer equalities ``coeffs + [rhs]`` restricted to the
+    support columns.
 
-    Returns ('unique', values), ('none', None) for inconsistent, or
-    ('many', None) for underdetermined systems.
+    Returns ('unique', numerators, denominator) with a positive common
+    denominator, ('none', None, 0) for inconsistent, or ('many', None, 0)
+    for underdetermined systems.
     """
     width = len(support)
-    matrix = [[coeffs[c] for c in support] + [rhs] for coeffs, rhs in equalities]
+    matrix = [[row[c] for c in support] + [row[-1]] for row in rows]
     pivot_rows: list[int] = []
     row_at = 0
+    prev = 1
     for col in range(width):
         pivot = next(
             (r for r in range(row_at, len(matrix)) if matrix[r][col] != 0), None
@@ -123,28 +148,31 @@ def _solve_on_support(
         if pivot is None:
             continue
         matrix[row_at], matrix[pivot] = matrix[pivot], matrix[row_at]
-        updated = _pivot(matrix, row_at, col)
+        updated = _pivot(matrix, row_at, col, prev)
         if budget is not None:
             budget.spend(updated * (width + 1))
+        prev = matrix[row_at][col]
         pivot_rows.append(col)
         row_at += 1
         if row_at == len(matrix):
             break
     for r in range(row_at, len(matrix)):
         if matrix[r][width] != 0:
-            return "none", None
+            return "none", None, 0
     if len(pivot_rows) < width:
-        return "many", None
-    values = [Fraction(0)] * width
+        return "many", None, 0
+    # Every pivot row now has ``prev`` on its diagonal.
+    sign = -1 if prev < 0 else 1
+    values = [0] * width
     for r, col in enumerate(pivot_rows):
-        values[col] = matrix[r][width]
-    return "unique", values
+        values[col] = sign * matrix[r][width]
+    return "unique", values, sign * prev
 
 
-def _prune_rows(h: HRep) -> list[tuple[int, int, int]]:
+def _prune_rows(rows: list[list[int]]) -> list[tuple[int, int, int]]:
     """Per-row (positive-coeff mask, negative-coeff mask, rhs sign)."""
     out = []
-    for coeffs, rhs in h.equalities:
+    for *coeffs, rhs in rows:
         pos = 0
         neg = 0
         for i, c in enumerate(coeffs):
@@ -189,13 +217,14 @@ def oracle_vertices(h: HRep, cap: int = DEFAULT_ORACLE_CAP) -> VertexSet:
     if 2**m > cap:
         raise CapExceeded("oracle supports", cap, f"2^{m} candidate supports")
     budget = _Budget("oracle work", cap)
-    prune = _prune_rows(h)
+    rows = _integer_rows(h)
+    prune = _prune_rows(rows)
     points: list[ArcVector] = []
     for s in range(2**m):
         if not _support_is_plausible(s, prune):
             continue
         support = [i for i in range(m) if s >> i & 1]
-        status, values = _solve_on_support(h.equalities, support, budget)
+        status, values, den = _solve_on_support(rows, support, budget)
         if status != "unique":
             continue
         assert values is not None
@@ -203,10 +232,10 @@ def oracle_vertices(h: HRep, cap: int = DEFAULT_ORACLE_CAP) -> VertexSet:
             continue
         entries = [Fraction(0)] * m
         for c, v in zip(support, values):
-            entries[c] = v
+            entries[c] = Fraction(v, den)
         points.append(ArcVector(tuple(entries)))
     points.sort(key=lambda p: p.entries)
-    empty = not _phase1_feasible(h)
+    empty = not _phase1_feasible(rows, m)
     if empty != (not points):
         raise NegflowError(
             "feasibility flag contradicts vertex enumeration on a pointed polyhedron"
@@ -241,52 +270,56 @@ def oracle_certifies_vertex(h: HRep, y: ArcVector) -> bool:
     if not is_feasible_point(h, y).feasible:
         return False
     support = y.support()
-    status, values = _solve_on_support(h.equalities, support)
+    status, values, den = _solve_on_support(_integer_rows(h), support)
     if status != "unique":
         return False
     assert values is not None
-    return values == [y.entries[c] for c in support]
+    return [Fraction(v, den) for v in values] == [y.entries[c] for c in support]
 
 
-def _phase1_feasible(h: HRep) -> bool:
-    """Exact phase-1 simplex with Bland's rule: is the polyhedron nonempty?"""
-    n = h.dimension
-    rows = len(h.equalities)
-    if rows == 0:
+def _phase1_feasible(rows: Sequence[Sequence[int]], n: int) -> bool:
+    """Exact phase-1 simplex with Bland's rule on the integer equalities
+    ``coeffs + [rhs]`` over ``n`` columns: is the polyhedron nonempty?
+
+    The tableau stays integer under the fraction-free `_pivot`. Every pivot
+    is positive, so each entry keeps the sign of its rational counterpart,
+    and ratios are compared by cross-multiplication."""
+    m = len(rows)
+    if m == 0:
         return True
-    tableau: list[list[Fraction]] = []
-    for coeffs, rhs in h.equalities:
-        row = list(coeffs)
-        if rhs < 0:
-            row = [-c for c in row]
-            rhs = -rhs
-        row.extend([Fraction(0)] * rows)
-        row.append(rhs)
-        tableau.append(row)
-    for i in range(rows):
-        tableau[i][n + i] = Fraction(1)
-    basis = [n + i for i in range(rows)]
-    width = n + rows
+    width = n + m
+    tableau: list[list[int]] = []
+    for i, row in enumerate(rows):
+        sign = -1 if row[-1] < 0 else 1
+        entries = [sign * c for c in row[:n]] + [0] * m + [sign * row[-1]]
+        entries[n + i] = 1
+        tableau.append(entries)
+    basis = list(range(n, width))
     # Phase-1 objective (reduced costs for minimizing the artificial sum),
     # carried as the last row and left out of the ratio test.
-    z = [Fraction(0)] * (width + 1)
-    for j in range(n):
-        z[j] = sum(row[j] for row in tableau)
-    z[width] = sum(row[width] for row in tableau)
+    z = [sum(col) for col in zip(*tableau)]
+    z[n:width] = [0] * m
     tableau.append(z)
+    prev = 1
     while True:
-        entering = next((j for j in range(width) if tableau[rows][j] > 0), None)
+        entering = next((j for j in range(width) if tableau[m][j] > 0), None)
         if entering is None:
             break
-        best: tuple[Fraction, int, int] | None = None
-        for i in range(rows):
-            if tableau[i][entering] > 0:
-                ratio = tableau[i][width] / tableau[i][entering]
-                key = (ratio, basis[i], i)
-                if best is None or key < best:
-                    best = key
-        if best is None:
+        leaving = -1
+        for i in range(m):
+            a = tableau[i][entering]
+            if a <= 0:
+                continue
+            if leaving < 0:
+                leaving = i
+                continue
+            lhs = tableau[i][width] * tableau[leaving][entering]
+            rhs = tableau[leaving][width] * a
+            if lhs < rhs or (lhs == rhs and basis[i] < basis[leaving]):
+                leaving = i
+        if leaving < 0:
             raise NegflowError("phase-1 objective unbounded")
-        _pivot(tableau, best[2], entering)
-        basis[best[2]] = entering
-    return tableau[rows][width] == 0
+        _pivot(tableau, leaving, entering, prev)
+        prev = tableau[leaving][entering]
+        basis[leaving] = entering
+    return tableau[m][width] == 0

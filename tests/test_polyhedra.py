@@ -5,10 +5,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from negflow.errors import CapExceeded
+from negflow.errors import CapExceeded, NegflowError
 from negflow.graph import Arc, ArcVector, WeightedDigraph, parse_graph
 from negflow.polyhedra import (
     HRep,
+    _Budget,
+    _integer_rows,
+    _phase1_feasible,
+    _solve_on_support,
     build_P,
     build_P_prime,
     is_feasible_point,
@@ -169,20 +173,31 @@ def _arcs(n: int, *arcs: tuple[int, int, int]) -> WeightedDigraph:
     )
 
 
+# Rationals with small numerators and denominators 1-4, so integer row
+# scaling meets LCMs above 1 (zero, negative and non-integer values too).
+rationals = st.builds(Fraction, st.integers(-2, 2), st.integers(1, 4))
+
+
 @st.composite
 def graphs(draw: st.DrawFn) -> WeightedDigraph:
     n = draw(st.integers(min_value=1, max_value=4))
     arcs = draw(
         st.lists(
-            st.tuples(
-                st.integers(0, n - 1),
-                st.integers(0, n - 1),
-                st.integers(-2, 2),
-            ),
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), rationals),
             max_size=7,
         )
     )
     return _arcs(n, *arcs)
+
+
+# A positive triangle weighing 1/3 - 1/2 + 3/4 = 7/12 that shares arc 0->1
+# with a negative digon (1/3 - 1/2): the weight row of P scales by 12, the
+# flow rows by 1.
+RATIONAL_WEIGHTS = _arcs(
+    3,
+    (0, 1, Fraction(1, 3)), (1, 2, Fraction(-1, 2)), (2, 0, Fraction(3, 4)),
+    (1, 0, Fraction(-1, 2)),
+)
 
 
 # The oracle cap bounds both the 2^m supports and the elimination work.
@@ -211,6 +226,7 @@ def test_oracle_work_cap() -> None:
 @settings(max_examples=60, deadline=None)
 @given(graphs())
 @example(LOOPY_MULTIGRAPH)
+@example(RATIONAL_WEIGHTS)
 def test_oracle_vertices_are_feasible_and_certified(g: WeightedDigraph) -> None:
     h = build_P(g)
     result = oracle_vertices(h, STRATEGY_ORACLE_CAP)
@@ -223,8 +239,167 @@ def test_oracle_vertices_are_feasible_and_certified(g: WeightedDigraph) -> None:
 @settings(max_examples=40, deadline=None)
 @given(graphs())
 @example(LOOPY_MULTIGRAPH)
+@example(RATIONAL_WEIGHTS)
 def test_oracle_empty_flag_matches_vertex_existence(g: WeightedDigraph) -> None:
     # Flow polyhedra with y >= 0 are pointed, so feasibility and having
     # at least one vertex coincide.
     result = oracle_vertices(build_P(g), STRATEGY_ORACLE_CAP)
     assert result.polyhedron_empty == (len(result.points) == 0)
+
+
+def test_rational_weights_example() -> None:
+    h = build_P(RATIONAL_WEIGHTS)
+    assert _integer_rows(h)[-1] == [4, -6, 9, -6, -12]
+    # The digon weighs -1/6, so its vertex is 6 * chi(digon).
+    assert [p.entries for p in oracle_vertices(h, 2**8).points] == [(6, 0, 0, 6)]
+    # mu * (-1/6) + mu' * 7/12 = 0 and 2 mu + 3 mu' = 1: mu' = 1/10, mu = 7/20.
+    directions = oracle_extreme_directions(RATIONAL_WEIGHTS, 2**8).points
+    assert [p.entries for p in directions] == [
+        (Fraction(9, 20), Fraction(1, 10), Fraction(1, 10), Fraction(7, 20))
+    ]
+
+
+# The rational elimination the integer kernel replaced, kept as its
+# reference: the oracle's support solve and phase-1 simplex over `Fraction`,
+# sharing one pivot step that scales the pivot row to 1.
+
+
+def _reference_pivot(matrix: list[list[Fraction]], row: int, col: int) -> int:
+    inv = 1 / matrix[row][col]
+    pivot = [v * inv for v in matrix[row]]
+    matrix[row] = pivot
+    updated = 0
+    for r, other in enumerate(matrix):
+        f = other[col]
+        if r != row and f != 0:
+            matrix[r] = [a - f * b for a, b in zip(other, pivot)]
+            updated += 1
+    return updated
+
+
+def _reference_solve(
+    h: HRep, support: list[int], budget: _Budget
+) -> tuple[str, list[Fraction] | None]:
+    width = len(support)
+    matrix = [[coeffs[c] for c in support] + [rhs] for coeffs, rhs in h.equalities]
+    pivot_rows: list[int] = []
+    row_at = 0
+    for col in range(width):
+        pivot = next(
+            (r for r in range(row_at, len(matrix)) if matrix[r][col] != 0), None
+        )
+        if pivot is None:
+            continue
+        matrix[row_at], matrix[pivot] = matrix[pivot], matrix[row_at]
+        budget.spend(_reference_pivot(matrix, row_at, col) * (width + 1))
+        pivot_rows.append(col)
+        row_at += 1
+        if row_at == len(matrix):
+            break
+    for r in range(row_at, len(matrix)):
+        if matrix[r][width] != 0:
+            return "none", None
+    if len(pivot_rows) < width:
+        return "many", None
+    values = [Fraction(0)] * width
+    for r, col in enumerate(pivot_rows):
+        values[col] = matrix[r][width]
+    return "unique", values
+
+
+def _reference_phase1(h: HRep) -> bool:
+    n = h.dimension
+    rows = len(h.equalities)
+    if rows == 0:
+        return True
+    tableau: list[list[Fraction]] = []
+    for coeffs, rhs in h.equalities:
+        row = list(coeffs)
+        if rhs < 0:
+            row = [-c for c in row]
+            rhs = -rhs
+        row.extend([Fraction(0)] * rows)
+        row.append(rhs)
+        tableau.append(row)
+    for i in range(rows):
+        tableau[i][n + i] = Fraction(1)
+    basis = [n + i for i in range(rows)]
+    width = n + rows
+    z = [Fraction(0)] * (width + 1)
+    for j in range(n):
+        z[j] = sum(row[j] for row in tableau)
+    z[width] = sum(row[width] for row in tableau)
+    tableau.append(z)
+    while True:
+        entering = next((j for j in range(width) if tableau[rows][j] > 0), None)
+        if entering is None:
+            break
+        best: tuple[Fraction, int, int] | None = None
+        for i in range(rows):
+            if tableau[i][entering] > 0:
+                ratio = tableau[i][width] / tableau[i][entering]
+                key = (ratio, basis[i], i)
+                if best is None or key < best:
+                    best = key
+        if best is None:
+            raise NegflowError("phase-1 objective unbounded")
+        _reference_pivot(tableau, best[2], entering)
+        basis[best[2]] = entering
+    return tableau[rows][width] == 0
+
+
+@st.composite
+def hreps(draw: st.DrawFn) -> HRep:
+    n = draw(st.integers(min_value=1, max_value=5))
+    rows = draw(
+        st.lists(
+            st.tuples(st.lists(rationals, min_size=n, max_size=n), rationals),
+            max_size=5,
+        )
+    )
+    return HRep(n, tuple((tuple(coeffs), rhs) for coeffs, rhs in rows))
+
+
+# Row 1 has a zero in the first pivot column and holds the second pivot:
+# the solve is exact only if the first step scaled that row by p/d.
+ZERO_THEN_PIVOT = HRep(
+    2,
+    tuple(
+        (tuple(map(Fraction, coeffs)), Fraction(rhs))
+        for coeffs, rhs in (((2, 0), 2), ((0, 1), 1), ((1, 1), 2))
+    ),
+)
+
+
+@st.composite
+def hreps_with_support(draw: st.DrawFn) -> tuple[HRep, list[int]]:
+    h = draw(hreps())
+    return h, sorted(draw(st.sets(st.integers(0, h.dimension - 1))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(hreps_with_support())
+@example((build_P(RATIONAL_WEIGHTS), [0, 3]))
+@example((ZERO_THEN_PIVOT, [0, 1]))
+@example((build_P_prime(RATIONAL_WEIGHTS), [0, 1, 2, 3]))
+def test_support_solve_matches_fraction_reference(
+    case: tuple[HRep, list[int]]
+) -> None:
+    h, support = case
+    expected_budget = _Budget("oracle work", 2**30)
+    expected_status, expected = _reference_solve(h, support, expected_budget)
+    budget = _Budget("oracle work", 2**30)
+    status, values, den = _solve_on_support(_integer_rows(h), support, budget)
+    assert status == expected_status
+    if status == "unique":
+        assert values is not None and den > 0
+        assert [Fraction(v, den) for v in values] == expected
+    assert budget.used == expected_budget.used
+
+
+@settings(max_examples=300, deadline=None)
+@given(hreps())
+@example(build_P(RATIONAL_WEIGHTS))
+@example(build_P_prime(RATIONAL_WEIGHTS))
+def test_phase1_matches_fraction_reference(h: HRep) -> None:
+    assert _phase1_feasible(_integer_rows(h), h.dimension) == _reference_phase1(h)
