@@ -5,7 +5,8 @@ vertices and extreme directions of the associated flow polyhedron from
 them, cross-checks both against a brute-force support-enumeration
 oracle, and carries a CNF-to-graph construction under which the vertex
 set collapses to a trivial family exactly on unsatisfiable inputs.
-All arithmetic is over `fractions.Fraction`; nothing is floating point.
+Inputs and results are `fractions.Fraction`s; the vertex oracle and the
+cycle weights compute on integers inside. Nothing is floating point.
 """
 from .characterize import (
     CharacterizationReport,

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import product
+from math import lcm
 from typing import Iterator, Sequence
 
 from .errors import CapExceeded, NotACirculation
@@ -58,10 +59,17 @@ def _canonical(arc_seq: Sequence[int]) -> tuple[int, ...]:
     return tuple(arc_seq[k:]) + tuple(arc_seq[:k])
 
 
+def _scaled(weights: Sequence[Fraction]) -> tuple[list[int], int]:
+    """The weights times the LCM of their denominators, and that LCM: a sum
+    of weights is then one ``int`` sum over the LCM."""
+    scale = lcm(*(w.denominator for w in weights))
+    return [w.numerator * (scale // w.denominator) for w in weights], scale
+
+
 def make_cycle(g: WeightedDigraph, arc_seq: Sequence[int]) -> Cycle:
     """Build a Cycle from arcs in traversal order (rotation normalized)."""
-    weight = sum((g.arcs[i].weight for i in arc_seq), Fraction(0))
-    return Cycle(_canonical(arc_seq), weight)
+    ints, scale = _scaled([g.arcs[i].weight for i in arc_seq])
+    return Cycle(_canonical(arc_seq), Fraction(sum(ints), scale))
 
 
 def cycle_nodes(g: WeightedDigraph, cycle: Cycle) -> tuple[int, ...]:
@@ -87,11 +95,10 @@ def _node_cycles_from(
     blocked = {start}
     closed: set[int] = set()
     blocked_by: dict[int, set[int]] = defaultdict(set)
-    stack: list[tuple[int, list[int]]] = [(start, list(reversed(succ[start])))]
+    stack: list[tuple[int, Iterator[int]]] = [(start, iter(succ[start]))]
     while stack:
         node, nbrs = stack[-1]
-        if nbrs:
-            nxt = nbrs.pop()
+        for nxt in nbrs:
             if nxt == start:
                 yield path[:]
                 closed.update(path)
@@ -99,9 +106,9 @@ def _node_cycles_from(
                 path.append(nxt)
                 closed.discard(nxt)
                 blocked.add(nxt)
-                stack.append((nxt, list(reversed(succ[nxt]))))
-                continue
-        if not nbrs:
+                stack.append((nxt, iter(succ[nxt])))
+                break
+        else:
             if node in closed:
                 _unblock(node, blocked, blocked_by)
             else:
@@ -160,8 +167,7 @@ def _iter_arc_cycles(g: WeightedDigraph) -> Iterator[tuple[int, ...]]:
             continue
         for node_path in _node_cycles_from(start, succ):
             hops = [
-                arcmap[node_path[k]][node_path[(k + 1) % len(node_path)]]
-                for k in range(len(node_path))
+                arcmap[u][w] for u, w in zip(node_path, node_path[1:] + [start])
             ]
             for combo in product(*hops):
                 yield combo
@@ -170,13 +176,18 @@ def _iter_arc_cycles(g: WeightedDigraph) -> Iterator[tuple[int, ...]]:
 def enumerate_cycles(g: WeightedDigraph, cap: int) -> tuple[Cycle, ...]:
     """All simple cycles, canonical and sorted lexicographically by arc ids.
 
-    Raises CapExceeded as soon as more than ``cap`` cycles are found.
+    Weights are summed as integers over the graph's common denominator, so
+    each cycle costs one ``Fraction``. Raises CapExceeded as soon as more
+    than ``cap`` cycles are found.
     """
     if cap < 1:
         raise ValueError("cap must be positive")
+    ints, scale = _scaled([arc.weight for arc in g.arcs])
     found: list[Cycle] = []
     for seq in _iter_arc_cycles(g):
-        found.append(make_cycle(g, seq))
+        found.append(
+            Cycle(_canonical(seq), Fraction(sum([ints[i] for i in seq]), scale))
+        )
         if len(found) > cap:
             raise CapExceeded("cycles", cap, f"graph has more than {cap} cycles")
     found.sort(key=lambda c: c.arc_ids)

@@ -321,31 +321,32 @@ def decide_ve01(f: CnfFormula, cap: int) -> Ve01Report:
 
     Reports the set relation and the brute-force SAT result side by side;
     the correspondence between them is a checked property of the
-    construction, not an input to it.
+    construction, not an input to it. Distinct cycles give distinct
+    vertices, so the sets are compared on canonical arc-id tuples; each
+    trivial vertex is its occurrence's digon ``(a_b, b_a)``.
     """
     art = build_reduction(f)
     g = art.graph
-    trivial = trivial_vertex_family(art)
-    trivial_set = set(trivial)
-    by_vertex = {
-        vertex_from_cycle(g, c): c for c in enumerate_cycles(g, cap) if c.weight < 0
-    }
-    vertices = tuple(sorted(by_vertex, key=lambda p: p.entries))
-    extra = tuple(p for p in vertices if p not in trivial_set)
+    trivial_ids = {(occ.a_b, occ.b_a) for occ in art.occurrences}
+    negative = [c for c in enumerate_cycles(g, cap) if c.weight < 0]
+    cycle_ids = {c.arc_ids for c in negative}
+    ranked = sorted(
+        ((vertex_from_cycle(g, c), c) for c in negative),
+        key=lambda pc: pc[0].entries,
+    )
+    extra = [(p, c) for p, c in ranked if c.arc_ids not in trivial_ids]
     required = set(art.connectors)
     extra_long = all(
-        by_vertex[p].weight == -1
-        and required <= set(cycle_nodes(g, by_vertex[p]))
-        for p in extra
+        c.weight == -1 and required <= set(cycle_nodes(g, c)) for _, c in extra
     )
     satisfiable, witness = brute_force_sat(f)
     return Ve01Report(
         artifact=art,
-        trivial_family=trivial,
-        vertices=vertices,
-        trivial_is_subset=trivial_set <= set(vertices),
-        trivial_equals_vertices=trivial_set == set(vertices),
-        extra_vertices=extra,
+        trivial_family=trivial_vertex_family(art),
+        vertices=tuple(p for p, _ in ranked),
+        trivial_is_subset=trivial_ids <= cycle_ids,
+        trivial_equals_vertices=trivial_ids == cycle_ids,
+        extra_vertices=tuple(p for p, _ in extra),
         extra_are_long_cycles=extra_long,
         satisfiable=satisfiable,
         witness=witness,

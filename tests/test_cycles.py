@@ -4,7 +4,11 @@ The independent oracle here is a plain backtracking enumerator
 (`brute_cycles`), structurally unrelated to the blocked-search
 implementation under test; networkx cross-checks node cycles.
 """
+import fractions
+import sys
+from collections import Counter
 from fractions import Fraction
+from typing import Sequence
 
 import pytest
 from hypothesis import example, given, settings
@@ -105,6 +109,13 @@ def test_cap_must_be_positive() -> None:
         enumerate_cycles(TRIANGLE, 0)
 
 
+def _reference_make_cycle(g: WeightedDigraph, arc_seq: Sequence[int]) -> Cycle:
+    """The cycle with its weight summed in ``Fraction`` arithmetic."""
+    k = arc_seq.index(min(arc_seq))
+    weight = sum((g.arcs[i].weight for i in arc_seq), Fraction(0))
+    return Cycle(tuple(arc_seq[k:]) + tuple(arc_seq[:k]), weight)
+
+
 def test_make_cycle_normalizes_rotation() -> None:
     assert make_cycle(TRIANGLE, (1, 2, 0)) == make_cycle(TRIANGLE, (0, 1, 2))
     assert make_cycle(TRIANGLE, (2, 0, 1)).arc_ids == (0, 1, 2)
@@ -120,31 +131,78 @@ def test_format_cycle() -> None:
     assert format_cycle(c) == "C -3 : 0 1 2"
 
 
+# Rationals with small numerators and denominators 1-4, so the integer
+# weight scaling meets LCMs above 1 (zero, negative and non-integer values).
+rationals = st.builds(Fraction, st.integers(-2, 2), st.integers(1, 4))
+
+
 @st.composite
 def graphs(draw: st.DrawFn) -> WeightedDigraph:
     n = draw(st.integers(min_value=1, max_value=5))
     arcs = draw(
         st.lists(
-            st.tuples(
-                st.integers(0, n - 1),
-                st.integers(0, n - 1),
-                st.integers(-2, 2),
-            ),
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), rationals),
             max_size=8,
         )
     )
     return WeightedDigraph(
-        n, tuple(Arc(i, t, h, Fraction(w)) for i, (t, h, w) in enumerate(arcs))
+        n, tuple(Arc(i, t, h, w) for i, (t, h, w) in enumerate(arcs))
     )
+
+
+# Denominators 3, 2 and 4 (LCM 12), a self-loop, and parallel arcs 1->2.
+MIXED_DENOMINATORS = parse_graph(
+    "p 3 6\na 1 2 1/3\na 1 2 -1/2\na 2 3 3/4\na 3 1 -1/3\n"
+    "a 2 1 1/4\na 3 3 -3/2\n"
+)
 
 
 @settings(max_examples=100, deadline=None)
 @given(graphs())
+@example(MIXED_DENOMINATORS)
 def test_enumeration_matches_backtracking_oracle(g: WeightedDigraph) -> None:
     got = enumerate_cycles(g, 2**12)
     assert {c.arc_ids for c in got} == brute_cycles(g)
     assert all(c.arc_ids[0] == min(c.arc_ids) for c in got)
     assert list(got) == sorted(got, key=lambda c: c.arc_ids)
+    for c in got:
+        assert c == make_cycle(g, c.arc_ids) == _reference_make_cycle(g, c.arc_ids)
+
+
+def _fraction_calls(fn):
+    """Run ``fn`` under a profile hook; count its calls into fractions.py
+    by function name."""
+    calls: Counter[str] = Counter()
+
+    def hook(frame, event, arg) -> None:
+        if event == "call" and frame.f_code.co_filename == fractions.__file__:
+            calls[frame.f_code.co_name] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        result = fn()
+    finally:
+        sys.setprofile(previous)
+    return result, calls
+
+
+def test_enumeration_sums_weights_as_integers() -> None:
+    g = gen_fig3(3)
+    g = WeightedDigraph(
+        g.node_count,
+        tuple(
+            Arc(a.arc_id, a.tail, a.head, a.weight + Fraction(1, 2 + a.arc_id % 3))
+            for a in g.arcs
+        ),
+    )
+    cycles, calls = _fraction_calls(lambda: enumerate_cycles(g, 2**10))
+    assert len(cycles) == 27
+    # No Fraction arithmetic: the weights are read once per graph, and each
+    # cycle builds at most one Fraction from its integer sum.
+    assert set(calls) <= {"__new__", "numerator", "denominator"}
+    assert 1 <= calls["__new__"] <= len(cycles)
+    assert calls["numerator"] + calls["denominator"] <= 3 * g.arc_count
 
 
 def test_node_cycles_match_networkx() -> None:

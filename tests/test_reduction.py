@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from negflow.characterize import vertices_from_negative_cycles
 from negflow.cycles import enumerate_cycles
 from negflow.errors import ParseError
 from negflow.graph import total_weight
@@ -264,6 +265,32 @@ def test_decide_sat_formula_has_long_cycle_witnesses() -> None:
 def test_decide_single_clause_consistency() -> None:
     report = decide_ve01(parse_dimacs_cnf("p cnf 2 1\n1 2 0\n"), 2**16)
     assert report.satisfiable == (not report.trivial_equals_vertices)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        SAT_3VAR_3CLAUSE,
+        UNSAT_2VAR,
+        "p cnf 2 1\n1 2 0\n",
+        "p cnf 1 1\n1 -1 0\n",
+        "p cnf 2 2\n1 0\n-1 0\n",
+        "p cnf 3 3\n1 2 0\n-1 3 0\n-2 -3 0\n",
+    ],
+)
+def test_decide_matches_dense_vector_reference(text: str) -> None:
+    # Reference: the vertex set as dense vectors, compared with the
+    # trivial family by set algebra on the vectors themselves.
+    f = parse_dimacs_cnf(text)
+    art = build_reduction(f)
+    cycles = enumerate_cycles(art.graph, 2**16)
+    vertices = vertices_from_negative_cycles(art.graph, cycles).points
+    trivial = set(trivial_vertex_family(art))
+    report = decide_ve01(f, 2**16)
+    assert report.vertices == vertices
+    assert report.extra_vertices == tuple(p for p in vertices if p not in trivial)
+    assert report.trivial_is_subset == (trivial <= set(vertices))
+    assert report.trivial_equals_vertices == (trivial == set(vertices))
 
 
 def test_decide_report_text() -> None:
