@@ -49,14 +49,12 @@ from .graph import (
 )
 from .polyhedra import (
     DEFAULT_ORACLE_CAP,
-    FeasibilityResult,
     HRep,
     VertexSet,
     build_P,
     build_P_prime,
     is_feasible_point,
     oracle_certifies_vertex,
-    oracle_extreme_directions,
     oracle_vertices,
 )
 from .reduction import (
@@ -84,7 +82,6 @@ __all__ = [
     "CycleDecomposition",
     "DEFAULT_CYCLE_CAP",
     "DEFAULT_ORACLE_CAP",
-    "FeasibilityResult",
     "HRep",
     "Lcg",
     "MAX_SAT_VARIABLES",
@@ -116,7 +113,6 @@ __all__ = [
     "is_feasible_point",
     "is_two_cycle",
     "oracle_certifies_vertex",
-    "oracle_extreme_directions",
     "oracle_vertices",
     "parse_arc_vector",
     "parse_dimacs_cnf",

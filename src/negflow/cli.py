@@ -61,7 +61,8 @@ def _build_parser() -> argparse.ArgumentParser:
             "--max-oracle",
             type=int,
             default=DEFAULT_ORACLE_CAP,
-            help=f"oracle work cap (default {DEFAULT_ORACLE_CAP})",
+            help="oracle work cap: one unit per support-walk node and per "
+            f"entry of each row a pivot changes (default {DEFAULT_ORACLE_CAP})",
         )
 
     p = sub.add_parser("vertices", help="vertices from negative cycles")

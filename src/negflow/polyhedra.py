@@ -1,10 +1,12 @@
-"""H-representations and a brute-force exact vertex oracle.
+"""H-representations and an exhaustive exact vertex oracle.
 
-The oracle enumerates candidate supports and solves the equality system
-exactly; it never touches floating point and has no tolerance anywhere.
-Each equality is scaled to integers once per call, supports are solved and
-phase 1 is run by fraction-free elimination on ``int``, and only accepted
-vertices become ``Fraction``s. It is deliberately independent of the
+The oracle walks the candidate supports depth first, deciding one arc at a
+time, and solves the equality system exactly; supports with a common prefix
+share its elimination. It never touches floating point and has no tolerance
+anywhere. Each equality is scaled to integers once per call, the walk and
+phase 1 run fraction-free elimination on ``int``, and only accepted
+vertices become ``Fraction``s. Walk nodes and elimination steps are charged
+against one work budget. The oracle is deliberately independent of the
 cycle-based characterization it is used to validate.
 """
 from __future__ import annotations
@@ -17,6 +19,12 @@ from typing import Sequence
 from .errors import CapExceeded, NegflowError
 from .graph import ArcVector, WeightedDigraph
 
+# Work units: 1 per walk node plus (rows changed) x (m + 1) per pivot. The
+# seed-1 `verify-oracle` benchmark pool (m <= 10) peaks at 10,541 units per
+# H-representation, 1% of this cap. The first 40 8-node, 20-arc graphs of
+# the seed-1 `directions-dense` pool need up to 2.9 M, so inputs that large
+# pass an explicit cap. The walk spends about 3.4 M units per second (2-core
+# x86 VM, Python 3.11), so the default cap ends a run within half a second.
 DEFAULT_ORACLE_CAP = 2**20
 
 
@@ -185,55 +193,72 @@ def _prune_rows(rows: list[list[int]]) -> list[tuple[int, int, int]]:
     return out
 
 
-def _support_is_plausible(s: int, prune_rows: list[tuple[int, int, int]]) -> bool:
-    # A support passes only if every row can still be satisfied by a point
-    # that is strictly positive exactly on the support.
+def _completable(
+    chosen: int, allowed: int, prune_rows: list[tuple[int, int, int]]
+) -> bool:
+    """Can some support S with ``chosen <= S <= allowed`` meet every row with
+    a point that is strictly positive exactly on S? A row with rhs sign 0
+    needs both or neither of its coefficient signs on S; otherwise S needs
+    a coefficient of the rhs sign."""
     for pos, neg, sign in prune_rows:
         if sign == 0:
-            if ((s & pos) == 0) != ((s & neg) == 0):
+            if chosen & (pos | neg) and not (allowed & pos and allowed & neg):
                 return False
-        elif sign > 0:
-            if s & pos == 0:
-                return False
-        else:
-            if s & neg == 0:
-                return False
+        elif not allowed & (pos if sign > 0 else neg):
+            return False
     return True
 
 
 def oracle_vertices(h: HRep, cap: int = DEFAULT_ORACLE_CAP) -> VertexSet:
-    """All vertices by support enumeration and exact solving.
+    """All vertices by a depth-first walk over supports with exact solving.
 
-    A support is accepted when the equality system restricted to it has a
-    unique, strictly positive solution; the point extended by zeros is then
-    a basic feasible solution with support exactly S. The returned
-    ``polyhedron_empty`` flag comes from an independent exact phase-1
-    simplex, and is cross-checked against vertex existence (the polyhedra
-    here are pointed, so the two must agree).
+    The walk decides the arcs in id order: one branch leaves arc ``j`` out,
+    the other pivots column ``j`` into a copy of the integer tableau (rows
+    are replaced, never mutated, so a shallow copy suffices), so supports
+    with a common prefix share its elimination. A column with no nonzero at
+    or below the pivot rows depends on the arcs already chosen, so every
+    support containing it is inconsistent or underdetermined and the branch
+    ends; a branch also ends once no completion of its prefix can meet the
+    sign pattern of every row. A leaf is accepted when its system is
+    consistent and the unique solution is strictly positive; the point
+    extended by zeros is then a basic feasible solution with exactly that
+    support. Each walk node costs 1 unit of the ``"oracle work"`` budget and
+    each pivot ``rows changed x (m + 1)``. The returned ``polyhedron_empty``
+    flag comes from an independent exact phase-1 simplex, and is
+    cross-checked against vertex existence (the polyhedra here are pointed,
+    so the two must agree).
     """
     if cap < 1:
         raise ValueError("cap must be positive")
     m = h.dimension
-    if 2**m > cap:
-        raise CapExceeded("oracle supports", cap, f"2^{m} candidate supports")
     budget = _Budget("oracle work", cap)
     rows = _integer_rows(h)
     prune = _prune_rows(rows)
+    everything = (1 << m) - 1
     points: list[ArcVector] = []
-    for s in range(2**m):
-        if not _support_is_plausible(s, prune):
+    # (next arc, tableau, chosen arcs, pivot rows used, last pivot)
+    stack = [(0, rows, 0, 0, 1)] if _completable(0, everything, prune) else []
+    while stack:
+        j, matrix, chosen, row_at, prev = stack.pop()
+        budget.spend(1)
+        if j == m:
+            point = _leaf_point(matrix, chosen, row_at, prev, m)
+            if point is not None:
+                points.append(point)
             continue
-        support = [i for i in range(m) if s >> i & 1]
-        status, values, den = _solve_on_support(rows, support, budget)
-        if status != "unique":
+        bit = 1 << j
+        allowed = chosen | (everything >> j << j)
+        if _completable(chosen, allowed & ~bit, prune):
+            stack.append((j + 1, matrix, chosen, row_at, prev))
+        if not _completable(chosen | bit, allowed, prune):
             continue
-        assert values is not None
-        if any(v <= 0 for v in values):
+        pivot = next((r for r in range(row_at, len(matrix)) if matrix[r][j]), None)
+        if pivot is None:
             continue
-        entries = [Fraction(0)] * m
-        for c, v in zip(support, values):
-            entries[c] = Fraction(v, den)
-        points.append(ArcVector(tuple(entries)))
+        matrix = matrix.copy()
+        matrix[row_at], matrix[pivot] = matrix[pivot], matrix[row_at]
+        budget.spend(_pivot(matrix, row_at, j, prev) * (m + 1))
+        stack.append((j + 1, matrix, chosen | bit, row_at + 1, matrix[row_at][j]))
     points.sort(key=lambda p: p.entries)
     empty = not _phase1_feasible(rows, m)
     if empty != (not points):
@@ -243,11 +268,26 @@ def oracle_vertices(h: HRep, cap: int = DEFAULT_ORACLE_CAP) -> VertexSet:
     return VertexSet(tuple(points), polyhedron_empty=empty)
 
 
-def oracle_extreme_directions(
-    g: WeightedDigraph, cap: int = DEFAULT_ORACLE_CAP
-) -> VertexSet:
-    """Extreme directions of P(g) as the vertex set of P'(g)."""
-    return oracle_vertices(build_P_prime(g), cap)
+def _leaf_point(
+    matrix: list[list[int]], chosen: int, row_at: int, prev: int, m: int
+) -> ArcVector | None:
+    """The unique solution on the chosen columns, pivot row ``r`` holding the
+    ``r``-th chosen column with ``prev`` on its diagonal, if the system is
+    consistent and the solution strictly positive."""
+    if any(matrix[r][m] for r in range(row_at, len(matrix))):
+        return None
+    sign = -1 if prev < 0 else 1
+    values = [0] * m
+    r = 0
+    for c in range(m):
+        if chosen >> c & 1:
+            v = sign * matrix[r][m]
+            if v <= 0:
+                return None
+            values[c] = v
+            r += 1
+    den = sign * prev
+    return ArcVector(tuple(Fraction(v, den) for v in values))
 
 
 def is_feasible_point(h: HRep, y: ArcVector) -> FeasibilityResult:

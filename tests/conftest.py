@@ -1,9 +1,25 @@
-"""Shared pytest hooks: collect acceptance verdicts and print a summary."""
+"""Shared pytest hooks and fixtures: the criterion-1 graph corpus, and
+acceptance verdicts collected for a summary."""
 from __future__ import annotations
 
 import pytest
 
+from negflow.cycles import TwoCycleShape
+from negflow.generators import gen_fig1, gen_fig3, gen_random
+from negflow.graph import WeightedDigraph
+
 CRITERION_RESULTS: dict[int, tuple[bool, str]] = {}
+
+
+@pytest.fixture(scope="session")
+def graph_corpus() -> list[WeightedDigraph]:
+    graphs = []
+    for i in range(200):
+        graphs.append(gen_random(4 + i % 3, 5 + i % 8, (-3, 3), 1000 + i))
+    graphs.append(gen_fig1(TwoCycleShape.EDGE_DISJOINT))
+    graphs.append(gen_fig1(TwoCycleShape.THREE_PATH))
+    graphs.extend(gen_fig3(k) for k in (1, 2, 3))
+    return graphs
 
 
 def record_criterion(number: int, passed: bool, detail: str) -> None:

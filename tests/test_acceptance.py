@@ -23,20 +23,18 @@ from negflow.characterize import (
 )
 from negflow.cycles import (
     Cycle,
-    TwoCycleShape,
     cycle_nodes,
     decompose_circulation,
     enumerate_cycles,
     enumerate_two_cycles,
     is_two_cycle,
 )
-from negflow.generators import Lcg, gen_fig1, gen_fig3, gen_random
+from negflow.generators import Lcg, gen_fig3
 from negflow.graph import ArcVector, WeightedDigraph
 from negflow.polyhedra import (
     build_P,
     build_P_prime,
     oracle_certifies_vertex,
-    oracle_extreme_directions,
     oracle_vertices,
 )
 from negflow.reduction import (
@@ -90,17 +88,6 @@ def _random_4var_formulas() -> list[CnfFormula]:
                 out.append(f)
                 break
     return out
-
-
-@pytest.fixture(scope="session")
-def graph_corpus() -> list[WeightedDigraph]:
-    graphs = []
-    for i in range(200):
-        graphs.append(gen_random(4 + i % 3, 5 + i % 8, (-3, 3), 1000 + i))
-    graphs.append(gen_fig1(TwoCycleShape.EDGE_DISJOINT))
-    graphs.append(gen_fig1(TwoCycleShape.THREE_PATH))
-    graphs.extend(gen_fig3(k) for k in (1, 2, 3))
-    return graphs
 
 
 @pytest.fixture(scope="session")
@@ -247,7 +234,7 @@ def test_criterion_1_characterization_matches_oracle(
         formula_v = vertices_from_negative_cycles(g, cycles)
         oracle_v = oracle_vertices(build_P(g), ORACLE_CAP)
         formula_d = directions_from_cycles(g, cycles, two_cycles)
-        oracle_d = oracle_extreme_directions(g, ORACLE_CAP)
+        oracle_d = oracle_vertices(build_P_prime(g), ORACLE_CAP)
         if set(formula_v.points) != set(oracle_v.points) or set(
             formula_d.points
         ) != set(oracle_d.points):

@@ -21,7 +21,7 @@ from negflow.characterize import (
 from negflow import cycles as cycles_module
 from negflow.cli import main
 from negflow.cycles import TwoCycleShape, enumerate_cycles, enumerate_two_cycles
-from negflow.generators import gen_fig1, gen_fig3
+from negflow.generators import gen_fig1, gen_fig3, gen_random
 from negflow.graph import Arc, ArcVector, WeightedDigraph, parse_graph, serialize_graph
 from negflow.polyhedra import VertexSet, build_P_prime, oracle_certifies_vertex
 from negflow.reduction import decide_ve01, parse_dimacs_cnf
@@ -211,11 +211,12 @@ def graphs(draw: st.DrawFn) -> WeightedDigraph:
     return _arcs(n, *arcs)
 
 
-# The oracle cap bounds both the 2^m supports and the elimination work.
-# For the strategy above (<= 4 nodes, so <= 6 rows of P'; <= 7 arcs) the
-# work is at most 2^7 supports x 6 pivots x 5 row updates x 8 units =
-# 30,720, so this cap never aborts a drawn graph.
-STRATEGY_ORACLE_CAP = 2**15
+# The oracle cap bounds walk nodes plus elimination work. For the strategy
+# above (<= 4 nodes, so <= 6 rows of P'; <= 7 arcs) the walk has at most
+# 2^8 - 1 nodes and 2^7 - 1 pivots, each changing at most 5 rows of 8
+# units: 255 + 127 x 40 = 5,335 units, so this cap never aborts a drawn
+# graph.
+STRATEGY_ORACLE_CAP = 2**13
 
 
 @settings(max_examples=60, deadline=None)
@@ -232,3 +233,44 @@ STRATEGY_ORACLE_CAP = 2**15
 def test_formula_matches_oracle_on_random_graphs(g: WeightedDigraph) -> None:
     report = verify_theorem1(g, 2**12, STRATEGY_ORACLE_CAP)
     assert report.all_match
+
+
+def _theorem1_family() -> list[WeightedDigraph]:
+    """Random simple graphs on 6-8 nodes at m = 13..20, above the 5-12 arcs
+    of the criterion-1 corpus's random graphs, plus two multigraphs (a heavier parallel copy of
+    arcs 0 and 1 and a weight-0 loop) and two rational-weight graphs (arc
+    i's weight over 1 + i mod 4)."""
+    family = [
+        gen_random(n, m, (-3, 3), 7000 + 10 * m + n)
+        for m in range(13, 21)
+        for n in (6, 7, 8)
+    ]
+    for n in (5, 6):
+        g = gen_random(n, 17, (-3, 3), 7100 + n)
+        arcs = [(a.tail, a.head, a.weight) for a in g.arcs]
+        extra = [(t, h, w + 1) for t, h, w in arcs[:2]] + [(0, 0, Fraction(0))]
+        family.append(_arcs(n, *arcs, *extra))
+    for n in (6, 7):
+        g = gen_random(n, 20, (-3, 3), 7200 + n)
+        family.append(
+            _arcs(n, *((a.tail, a.head, a.weight / (1 + a.arc_id % 4)) for a in g.arcs))
+        )
+    return family
+
+
+# A walk over m = 20 arcs can reach 2^21 - 1 nodes plus 2^20 - 1 pivots of
+# up to 9 rows x 21 units, far above any useful cap. On this family the
+# largest H-representation (P' of the 6-node rational-weight graph) takes
+# 1,437,332 units; 2^22 leaves 2.9x headroom, so the family runs to the end
+# while a walk that grew several-fold would abort loudly. The family takes
+# 5-6 s; its budget is 30 s on a 2-core VM.
+THEOREM1_ORACLE_CAP = 2**22
+
+
+def test_theorem1_holds_at_13_to_20_arcs() -> None:
+    mismatches = [
+        idx
+        for idx, g in enumerate(_theorem1_family())
+        if not verify_theorem1(g, 2**20, THEOREM1_ORACLE_CAP).all_match
+    ]
+    assert mismatches == []

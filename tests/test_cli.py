@@ -173,7 +173,9 @@ def test_cap_exceeded_exits_3(fig3: Path, capsys: pytest.CaptureFixture[str]) ->
 
 def test_oracle_cap_hint(triangle: Path, capsys: pytest.CaptureFixture[str]) -> None:
     assert main(["oracle", str(triangle), "--max-oracle", "2"]) == 3
-    assert "--max-oracle" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "oracle work cap 2 exceeded" in err
+    assert "--max-oracle" in err
 
 
 def test_env_cap(

@@ -1,4 +1,5 @@
-"""H-representations and the support-enumeration vertex oracle."""
+"""H-representations and the depth-first vertex oracle, checked against the
+support-enumeration oracle it replaced."""
 from fractions import Fraction
 
 import pytest
@@ -6,18 +7,20 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from negflow.errors import CapExceeded, NegflowError
+from negflow.generators import gen_random
 from negflow.graph import Arc, ArcVector, WeightedDigraph, parse_graph
 from negflow.polyhedra import (
     HRep,
+    VertexSet,
     _Budget,
     _integer_rows,
     _phase1_feasible,
+    _prune_rows,
     _solve_on_support,
     build_P,
     build_P_prime,
     is_feasible_point,
     oracle_certifies_vertex,
-    oracle_extreme_directions,
     oracle_vertices,
 )
 
@@ -104,7 +107,7 @@ def test_all_positive_graph_is_empty() -> None:
 
 def test_prime_zero_triangle() -> None:
     g = parse_graph("p 3 3\na 1 2 1\na 2 3 -1\na 3 1 0\n")
-    result = oracle_extreme_directions(g, 100)
+    result = oracle_vertices(build_P_prime(g), 100)
     assert [p.entries for p in result.points] == [
         (Fraction(1, 3), Fraction(1, 3), Fraction(1, 3))
     ]
@@ -112,7 +115,7 @@ def test_prime_zero_triangle() -> None:
 
 
 def test_prime_single_negative_cycle_is_empty() -> None:
-    result = oracle_extreme_directions(TRIANGLE, 100)
+    result = oracle_vertices(build_P_prime(TRIANGLE), 100)
     assert result.points == ()
     assert result.polyhedron_empty is True
 
@@ -121,15 +124,21 @@ def test_prime_disjoint_opposite_triangles() -> None:
     g = parse_graph(
         "p 6 6\na 1 2 -1\na 2 3 0\na 3 1 0\na 4 5 1\na 5 6 0\na 6 4 0\n"
     )
-    result = oracle_extreme_directions(g, 2**8)
+    result = oracle_vertices(build_P_prime(g), 2**8)
     assert [p.entries for p in result.points] == [(Fraction(1, 6),) * 6]
 
 
 def test_oracle_cap() -> None:
-    h = HRep(30, ())
+    # With no equalities every column is zero, so each include branch ends
+    # at once: 31 walk nodes to the origin, the one vertex of the orthant.
+    result = oracle_vertices(HRep(30, ()), 2**20)
+    assert [p.entries for p in result.points] == [(0,) * 30]
+    assert result.polyhedron_empty is False
+    # An 8-node, 30-arc graph whose walk needs more than 2^22 units: the cap
+    # aborts it loudly instead of returning the vertices found so far.
     with pytest.raises(CapExceeded) as exc:
-        oracle_vertices(h, 2**20)
-    assert exc.value.kind == "oracle supports"
+        oracle_vertices(build_P(gen_random(8, 30, (-3, 3), 0)), 2**20)
+    assert exc.value.kind == "oracle work"
 
 
 def test_is_feasible_point_examples() -> None:
@@ -200,15 +209,18 @@ RATIONAL_WEIGHTS = _arcs(
 )
 
 
-# The oracle cap bounds both the 2^m supports and the elimination work.
-# For the strategy above (<= 4 nodes, so <= 5 rows of P; <= 7 arcs) the
-# work is at most 2^7 supports x 5 pivots x 4 row updates x 8 units =
-# 20,480, so this cap never aborts a drawn graph.
-STRATEGY_ORACLE_CAP = 2**15
+# The oracle cap bounds walk nodes plus elimination work. For the strategy
+# above (<= 4 nodes, so <= 6 rows of P'; <= 7 arcs) the walk has at most
+# 2^8 - 1 nodes and 2^7 - 1 pivots, each changing at most 5 rows of 8
+# units: 255 + 127 x 40 = 5,335 units, so this cap never aborts a drawn
+# graph (nor an `hreps()` draw: 63 + 31 x 4 x 6 = 807).
+STRATEGY_ORACLE_CAP = 2**13
 
 
 # Three weight-0 loops at node 0, two weight -1 arcs 0->1 and two weight-0
-# arcs 1->0: 2^7 supports but 1,116 units of elimination work.
+# arcs 1->0: 2^7 supports, but the walk on P visits 16 nodes and makes 6
+# pivots of 8 or 16 units, 80 units in all. The loops' zero columns end
+# every branch that includes one.
 LOOPY_MULTIGRAPH = _arcs(
     2,
     (0, 0, 0), (0, 0, 0), (0, 0, 0),
@@ -219,8 +231,9 @@ LOOPY_MULTIGRAPH = _arcs(
 
 def test_oracle_work_cap() -> None:
     with pytest.raises(CapExceeded) as exc:
-        oracle_vertices(build_P(LOOPY_MULTIGRAPH), 2**10)
+        oracle_vertices(build_P(LOOPY_MULTIGRAPH), 79)
     assert exc.value.kind == "oracle work"
+    assert len(oracle_vertices(build_P(LOOPY_MULTIGRAPH), 80).points) == 4
 
 
 @settings(max_examples=60, deadline=None)
@@ -253,7 +266,7 @@ def test_rational_weights_example() -> None:
     # The digon weighs -1/6, so its vertex is 6 * chi(digon).
     assert [p.entries for p in oracle_vertices(h, 2**8).points] == [(6, 0, 0, 6)]
     # mu * (-1/6) + mu' * 7/12 = 0 and 2 mu + 3 mu' = 1: mu' = 1/10, mu = 7/20.
-    directions = oracle_extreme_directions(RATIONAL_WEIGHTS, 2**8).points
+    directions = oracle_vertices(build_P_prime(RATIONAL_WEIGHTS), 2**8).points
     assert [p.entries for p in directions] == [
         (Fraction(9, 20), Fraction(1, 10), Fraction(1, 10), Fraction(7, 20))
     ]
@@ -403,3 +416,73 @@ def test_support_solve_matches_fraction_reference(
 @example(build_P_prime(RATIONAL_WEIGHTS))
 def test_phase1_matches_fraction_reference(h: HRep) -> None:
     assert _phase1_feasible(_integer_rows(h), h.dimension) == _reference_phase1(h)
+
+
+# The support-enumeration oracle the depth-first walk replaced, kept as its
+# reference: every support whose sign pattern can meet all rows is solved
+# from scratch.
+
+
+def _support_is_plausible(s: int, prune_rows: list[tuple[int, int, int]]) -> bool:
+    # A support passes only if every row can still be satisfied by a point
+    # that is strictly positive exactly on the support.
+    for pos, neg, sign in prune_rows:
+        if sign == 0:
+            if ((s & pos) == 0) != ((s & neg) == 0):
+                return False
+        elif sign > 0:
+            if s & pos == 0:
+                return False
+        else:
+            if s & neg == 0:
+                return False
+    return True
+
+
+def _reference_oracle_vertices(h: HRep) -> VertexSet:
+    m = h.dimension
+    rows = _integer_rows(h)
+    prune = _prune_rows(rows)
+    points: list[ArcVector] = []
+    for s in range(2**m):
+        if not _support_is_plausible(s, prune):
+            continue
+        support = [i for i in range(m) if s >> i & 1]
+        status, values, den = _solve_on_support(rows, support)
+        if status != "unique":
+            continue
+        assert values is not None
+        if any(v <= 0 for v in values):
+            continue
+        entries = [Fraction(0)] * m
+        for c, v in zip(support, values):
+            entries[c] = Fraction(v, den)
+        points.append(ArcVector(tuple(entries)))
+    points.sort(key=lambda p: p.entries)
+    return VertexSet(tuple(points), polyhedron_empty=not _phase1_feasible(rows, m))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(hreps(), graphs()))
+@example(LOOPY_MULTIGRAPH)
+@example(RATIONAL_WEIGHTS)
+@example(ZERO_THEN_PIVOT)
+def test_walk_matches_support_enumeration(case: HRep | WeightedDigraph) -> None:
+    if isinstance(case, HRep):
+        reps = [case]
+    else:
+        reps = [build_P(case), build_P_prime(case)]
+    for h in reps:
+        assert oracle_vertices(h, STRATEGY_ORACLE_CAP) == _reference_oracle_vertices(h)
+
+
+def test_walk_matches_support_enumeration_on_corpus(
+    graph_corpus: list[WeightedDigraph],
+) -> None:
+    mismatches = [
+        idx
+        for idx, g in enumerate(graph_corpus)
+        for h in (build_P(g), build_P_prime(g))
+        if oracle_vertices(h) != _reference_oracle_vertices(h)
+    ]
+    assert mismatches == []
