@@ -1,10 +1,12 @@
-"""CNF satisfiability encoded as extra vertices of a circulation polyhedron.
+"""CNF satisfiability decided by a long negative cycle of a circulation graph.
 
 Each literal occurrence contributes two weight-(-1/2) arcs that form a
 digon between its shared nodes a and b, giving one trivial 0/1 vertex per
-occurrence; a simple cycle through every connector node exists exactly when
-hiding assignments line up, so deciding whether the trivial family is the
-whole vertex set decides satisfiability.
+occurrence. A simple cycle through every connector exists exactly when
+hiding assignments line up: it has weight -1, lies outside the trivial
+family, and the variable chains it takes give a satisfying assignment. So
+`decide_ve01` decides satisfiability by searching for that certificate, not
+by trying assignments.
 """
 from __future__ import annotations
 
@@ -12,8 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .characterize import _bool, vertex_from_cycle
-from .cycles import cycle_nodes, enumerate_cycles
-from .errors import NegflowError, ParseError
+from .cycles import Cycle, _canonical, _iter_arc_cycles, _scaled, cycle_nodes
+from .errors import CapExceeded, NegflowError, ParseError
 from .graph import Arc, ArcVector, WeightedDigraph, characteristic_vector
 
 MAX_SAT_VARIABLES = 24
@@ -81,6 +83,9 @@ class ReductionArtifact:
     occurrences: tuple[Occurrence, ...]
     degenerate_chain_arcs: tuple[int, ...]
     roles: tuple[tuple[str, ...], ...]
+    # Per variable, the first arcs of its positive and negated chains: the
+    # arcs that leave v_{i-1}.
+    chain_starts: tuple[tuple[int, int], ...]
 
     @property
     def closing_arc(self) -> int:
@@ -184,9 +189,11 @@ def build_reduction(f: CnfFormula) -> ReductionArtifact:
     occ_nodes: dict[tuple[int, int], tuple[int, int]] = {}
     occ_var_arcs: dict[tuple[int, int], tuple[int, int, int]] = {}
     degenerate: list[int] = []
+    starts: list[int] = []
     for var in range(1, n + 1):
         for polarity in (1, -1):
             lit = polarity * var
+            starts.append(len(arcs))
             chain = [
                 (j, pos)
                 for j, clause in enumerate(f.clauses)
@@ -248,6 +255,7 @@ def build_reduction(f: CnfFormula) -> ReductionArtifact:
         occurrences=tuple(occurrences),
         degenerate_chain_arcs=tuple(degenerate),
         roles=tuple(tuple(r) for r in roles),
+        chain_starts=tuple(zip(starts[::2], starts[1::2])),
     )
 
 
@@ -260,7 +268,10 @@ def trivial_vertex_family(art: ReductionArtifact) -> tuple[ArcVector, ...]:
 
 
 def brute_force_sat(f: CnfFormula) -> tuple[bool, dict[int, bool] | None]:
-    """Exhaustive satisfiability check; first witness in lexicographic order."""
+    """Exhaustive satisfiability check; first witness in lexicographic order.
+
+    The tests' reference for `decide_ve01`, which does not call it.
+    """
     if f.variable_count > MAX_SAT_VARIABLES:
         raise ValueError(
             f"brute force limited to {MAX_SAT_VARIABLES} variables"
@@ -278,17 +289,25 @@ def brute_force_sat(f: CnfFormula) -> tuple[bool, dict[int, bool] | None]:
 
 @dataclass(frozen=True)
 class Ve01Report:
-    """Both sides of the correspondence, reported without presuming it."""
+    """The verdict with what the walk showed of the vertex set.
+
+    On a satisfiable formula ``certificate`` is the long cycle that ended
+    the walk early; the full vertex set is then not known, so ``vertices``,
+    ``extra_vertices`` and ``extra_are_long_cycles`` are None and print as
+    ``unknown``. On an unsatisfiable one the walk was exhaustive and
+    ``certificate`` is None.
+    """
 
     artifact: ReductionArtifact
     trivial_family: tuple[ArcVector, ...]
-    vertices: tuple[ArcVector, ...]
+    vertices: tuple[ArcVector, ...] | None
     trivial_is_subset: bool
     trivial_equals_vertices: bool
-    extra_vertices: tuple[ArcVector, ...]
-    extra_are_long_cycles: bool
+    extra_vertices: tuple[ArcVector, ...] | None
+    extra_are_long_cycles: bool | None
     satisfiable: bool
     witness: dict[int, bool] | None
+    certificate: Cycle | None
 
     def to_text(self) -> str:
         g = self.artifact.graph
@@ -299,17 +318,24 @@ class Ve01Report:
             if self.witness
             else "-"
         )
+        vertex_count = "unknown" if self.vertices is None else len(self.vertices)
+        extra = "unknown" if self.extra_vertices is None else len(self.extra_vertices)
+        extra_long = (
+            "unknown"
+            if self.extra_are_long_cycles is None
+            else _bool(self.extra_are_long_cycles)
+        )
         lines = [
             f"nodes: {g.node_count}",
             f"arcs: {g.arc_count}",
             f"occurrences: {self.artifact.formula.occurrence_count}",
             f"degenerate_chains: {len(self.artifact.degenerate_chain_arcs)}",
             f"trivial_family_size: {len(self.trivial_family)}",
-            f"vertex_count: {len(self.vertices)}",
+            f"vertex_count: {vertex_count}",
             f"trivial_is_subset: {_bool(self.trivial_is_subset)}",
             f"trivial_equals_vertices: {_bool(self.trivial_equals_vertices)}",
-            f"extra_vertices: {len(self.extra_vertices)}",
-            f"extra_are_long_cycles: {_bool(self.extra_are_long_cycles)}",
+            f"extra_vertices: {extra}",
+            f"extra_are_long_cycles: {extra_long}",
             f"satisfiable: {_bool(self.satisfiable)}",
             f"witness: {witness}",
         ]
@@ -317,29 +343,51 @@ class Ve01Report:
 
 
 def decide_ve01(f: CnfFormula, cap: int) -> Ve01Report:
-    """Compare the trivial vertex family with the full vertex set.
+    """Decide satisfiability by a long-cycle certificate.
 
-    Reports the set relation and the brute-force SAT result side by side;
-    the correspondence between them is a checked property of the
-    construction, not an input to it. Distinct cycles give distinct
-    vertices, so the sets are compared on canonical arc-id tuples; each
-    trivial vertex is its occurrence's digon ``(a_b, b_a)``.
+    One Johnson walk streams the cycles of the reduction graph, weighed as
+    ``int`` sums over the common denominator. The first negative cycle that
+    takes the closing arc and passes every connector ends the walk: it must
+    weigh -1, and the witness decoded from it must satisfy every clause, or
+    NegflowError is raised. A walk that ends without one proves the formula
+    unsatisfiable; the report then compares the trivial family with the full
+    vertex set on canonical arc-id tuples (distinct cycles give distinct
+    vertices; each trivial vertex is its occurrence's digon
+    ``(a_b, b_a)``). Raises CapExceeded, with the walk's progress, as soon as
+    more than ``cap`` cycles are walked.
     """
+    if cap < 1:
+        raise ValueError("cap must be positive")
     art = build_reduction(f)
     g = art.graph
+    ints, scale = _scaled([arc.weight for arc in g.arcs])
+    required = set(art.connectors)
+    negative: list[Cycle] = []
+    for walked, seq in enumerate(_iter_arc_cycles(g), start=1):
+        if walked > cap:
+            raise CapExceeded(
+                "cycles",
+                cap,
+                f"graph has more than {cap} cycles; walked {cap} cycles, "
+                f"kept {len(negative)} negative, none long",
+            )
+        total = sum([ints[i] for i in seq])
+        if total >= 0:
+            continue
+        weight = Fraction(total, scale)
+        if art.closing_arc in seq and required <= {g.arcs[i].tail for i in seq}:
+            return _certified_report(art, seq, weight)
+        negative.append(Cycle(_canonical(seq), weight))
     trivial_ids = {(occ.a_b, occ.b_a) for occ in art.occurrences}
-    negative = [c for c in enumerate_cycles(g, cap) if c.weight < 0]
     cycle_ids = {c.arc_ids for c in negative}
     ranked = sorted(
         ((vertex_from_cycle(g, c), c) for c in negative),
         key=lambda pc: pc[0].entries,
     )
     extra = [(p, c) for p, c in ranked if c.arc_ids not in trivial_ids]
-    required = set(art.connectors)
     extra_long = all(
         c.weight == -1 and required <= set(cycle_nodes(g, c)) for _, c in extra
     )
-    satisfiable, witness = brute_force_sat(f)
     return Ve01Report(
         artifact=art,
         trivial_family=trivial_vertex_family(art),
@@ -348,6 +396,51 @@ def decide_ve01(f: CnfFormula, cap: int) -> Ve01Report:
         trivial_equals_vertices=trivial_ids == cycle_ids,
         extra_vertices=tuple(p for p, _ in extra),
         extra_are_long_cycles=extra_long,
-        satisfiable=satisfiable,
+        satisfiable=False,
+        witness=None,
+        certificate=None,
+    )
+
+
+def _certified_report(
+    art: ReductionArtifact, seq: tuple[int, ...], weight: Fraction
+) -> Ve01Report:
+    """The SAT report read off a long cycle, its witness checked clause by
+    clause."""
+    certificate = Cycle(_canonical(seq), weight)
+    if weight != -1:
+        raise NegflowError(
+            f"long cycle {certificate.arc_ids} weighs {weight}, not -1"
+        )
+    arcs = set(seq)
+    # The chain a long cycle takes from v_{i-1} to v_i passes the a/b nodes
+    # of that literal's occurrences, hiding them from the clause paths, so
+    # the literal is false: x_i is true iff the negated chain is taken.
+    witness = {
+        var: neg in arcs for var, (_, neg) in enumerate(art.chain_starts, start=1)
+    }
+    for j, clause in enumerate(art.formula.clauses):
+        if not any(witness[abs(lit)] == (lit > 0) for lit in clause):
+            raise NegflowError(
+                f"witness decoded from long cycle {certificate.arc_ids} "
+                f"falsifies clause {j + 1}"
+            )
+    g = art.graph
+    return Ve01Report(
+        artifact=art,
+        trivial_family=trivial_vertex_family(art),
+        vertices=None,
+        trivial_is_subset=all(
+            g.arcs[occ.a_b].head == g.arcs[occ.b_a].tail
+            and g.arcs[occ.b_a].head == g.arcs[occ.a_b].tail
+            and g.arcs[occ.a_b].weight + g.arcs[occ.b_a].weight < 0
+            for occ in art.occurrences
+        ),
+        # The certificate is a negative cycle outside the digon family.
+        trivial_equals_vertices=False,
+        extra_vertices=None,
+        extra_are_long_cycles=None,
+        satisfiable=True,
         witness=witness,
+        certificate=certificate,
     )

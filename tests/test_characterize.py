@@ -113,9 +113,13 @@ def test_verify_fig3_k2_counts() -> None:
 
 
 def _count_calls(monkeypatch: pytest.MonkeyPatch) -> dict[str, list]:
-    """Wrap enumerate_cycles and is_two_cycle at every negflow name bound
-    to them, recording the arguments of each call."""
-    calls: dict[str, list] = {"enumerate_cycles": [], "is_two_cycle": []}
+    """Wrap enumerate_cycles, is_two_cycle and the Johnson walk at every
+    negflow name bound to them, recording the arguments of each call."""
+    calls: dict[str, list] = {
+        "enumerate_cycles": [],
+        "is_two_cycle": [],
+        "_iter_arc_cycles": [],
+    }
     for name, record in calls.items():
         original = getattr(cycles_module, name)
 
@@ -150,12 +154,16 @@ def test_cli_and_decide_enumerate_cycles_once(
     graph.write_text(serialize_graph(gen_fig3(2)))
     for command, pairs in (("vertices", 0), ("directions", 8)):
         assert main([command, str(graph)]) == 0
-        assert len(calls["enumerate_cycles"]) == 1
+        assert len(calls["enumerate_cycles"]) == len(calls["_iter_arc_cycles"]) == 1
         assert len(calls["is_two_cycle"]) == pairs
-        calls["enumerate_cycles"].clear()
-        calls["is_two_cycle"].clear()
-    decide_ve01(parse_dimacs_cnf("p cnf 2 2\n1 2 0\n-1 -2 0\n"), 2**16)
-    assert len(calls["enumerate_cycles"]) == 1
+        for record in calls.values():
+            record.clear()
+    # decide streams one walk itself, for SAT and UNSAT formulas alike.
+    for text in ("p cnf 2 2\n1 2 0\n-1 -2 0\n", "p cnf 1 2\n1 0\n-1 0\n"):
+        decide_ve01(parse_dimacs_cnf(text), 2**16)
+        assert len(calls["_iter_arc_cycles"]) == 1
+        assert calls["enumerate_cycles"] == []
+        calls["_iter_arc_cycles"].clear()
 
 
 def test_report_text_shape() -> None:

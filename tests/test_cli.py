@@ -1,9 +1,12 @@
 """Command-line interface: exit codes, output formats, caps, determinism."""
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from negflow import reduction
 from negflow.cli import main
+from negflow.reduction import build_reduction
 
 TRIANGLE = "p 3 3\na 1 2 -1\na 2 3 -1\na 3 1 -1\n"
 TAUTOLOGY = "p cnf 1 1\n1 -1 0\n"
@@ -112,6 +115,10 @@ def test_decide_satisfiable(tmp_path: Path, capsys: pytest.CaptureFixture[str]) 
     assert "satisfiable: true" in out
     assert "trivial_equals_vertices: false" in out
     assert "witness: x1=" in out
+    # The walk stopped at the certificate, so the vertex set is not known.
+    for key in ("vertex_count", "extra_vertices", "extra_are_long_cycles"):
+        assert f"{key}: unknown\n" in out
+    assert "trivial_is_subset: true\n" in out
 
 
 def test_decide_accepts_satlib_trailer(
@@ -133,6 +140,72 @@ def test_decide_unsatisfiable(tmp_path: Path, capsys: pytest.CaptureFixture[str]
     assert "satisfiable: false" in out
     assert "trivial_equals_vertices: true" in out
     assert "witness: -" in out
+
+
+@pytest.mark.parametrize(
+    "variables, clauses",
+    [
+        # One 25-literal clause, and 30 variables in 15 clauses: both beyond
+        # brute force's 24 variables, both answered at the first long cycle.
+        (25, [list(range(1, 26))]),
+        (30, [[2 * k + 1, -(2 * k + 2)] for k in range(15)]),
+    ],
+)
+def test_decide_beyond_brute_force_limit(
+    tmp_path: Path,
+    capsys: pytest.CaptureFixture[str],
+    variables: int,
+    clauses: list[list[int]],
+) -> None:
+    cnf = tmp_path / "big.cnf"
+    cnf.write_text(
+        f"p cnf {variables} {len(clauses)}\n"
+        + "".join(" ".join(map(str, c)) + " 0\n" for c in clauses)
+    )
+    assert main(["decide", str(cnf)]) == 0
+    out = capsys.readouterr().out
+    assert "satisfiable: true\n" in out
+    witness = next(l for l in out.splitlines() if l.startswith("witness: "))
+    values = {
+        int(name[1:]): value == "1"
+        for name, _, value in (item.partition("=") for item in witness.split()[1:])
+    }
+    assert set(values) == set(range(1, variables + 1))
+    assert all(any(values[abs(l)] == (l > 0) for l in c) for c in clauses)
+
+
+def test_decide_capped_before_long_cycle_prints_no_verdict(
+    tmp_path: Path, capsys: pytest.CaptureFixture[str]
+) -> None:
+    # Satisfiable, but the walk meets its first long cycle only after 53
+    # other cycles.
+    cnf = tmp_path / "sat.cnf"
+    cnf.write_text("p cnf 2 3\n1 2 0\n-1 2 0\n1 -2 0\n")
+    assert main(["decide", str(cnf), "--max-cycles", "10"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "cycles cap 10 exceeded" in captured.err
+    assert "walked 10 cycles, kept 0 negative, none long" in captured.err
+    assert main(["decide", str(cnf)]) == 0
+    assert "satisfiable: true\n" in capsys.readouterr().out
+
+
+def test_decide_never_prints_a_falsified_witness(
+    tmp_path: Path, monkeypatch: pytest.MonkeyPatch, capsys: pytest.CaptureFixture[str]
+) -> None:
+    # Swapping each variable's chains makes the decoder read the opposite
+    # assignment, which falsifies the lone clause.
+    def swapped(formula):
+        art = build_reduction(formula)
+        return replace(art, chain_starts=tuple((n, p) for p, n in art.chain_starts))
+
+    monkeypatch.setattr(reduction, "build_reduction", swapped)
+    cnf = tmp_path / "x1.cnf"
+    cnf.write_text("p cnf 1 1\n1 0\n")
+    assert main(["decide", str(cnf)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "falsifies clause 1" in captured.err
 
 
 def test_gen_fig1_round_trips(capsys: pytest.CaptureFixture[str]) -> None:

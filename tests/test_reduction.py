@@ -10,17 +10,17 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from negflow.characterize import vertices_from_negative_cycles
-from negflow.cycles import enumerate_cycles
+from negflow.characterize import vertex_from_cycle, vertices_from_negative_cycles
+from negflow.cycles import cycle_nodes, enumerate_cycles
 from negflow.errors import ParseError
-from negflow.graph import total_weight
 from negflow.polyhedra import build_P, is_feasible_point, oracle_certifies_vertex
 from negflow.reduction import (
     CnfFormula,
     MAX_SAT_VARIABLES,
+    Ve01Report,
     brute_force_sat,
     build_reduction,
     decide_ve01,
@@ -36,6 +36,42 @@ SATLIB_TRAILER = "p cnf 2 2\n1 -2 0\n2 0\n%\n0\n"
 
 def occurrences(f: CnfFormula) -> int:
     return sum(len(c) for c in f.clauses)
+
+
+def assert_certificate(report: Ve01Report) -> None:
+    """A SAT report carries a weight -1 cycle that takes the closing arc and
+    every connector, lies outside the trivial family, and yields a
+    satisfying witness over exactly the variables 1..n."""
+    art = report.artifact
+    cert = report.certificate
+    assert report.satisfiable and cert is not None
+    assert cert.weight == -1
+    assert art.closing_arc in cert.arc_ids
+    assert set(art.connectors) <= set(cycle_nodes(art.graph, cert))
+    assert cert.arc_ids not in {(o.a_b, o.b_a) for o in art.occurrences}
+    assert not report.trivial_equals_vertices
+    f = art.formula
+    assert set(report.witness) == set(range(1, f.variable_count + 1))
+    assert all(
+        any(report.witness[abs(lit)] == (lit > 0) for lit in clause)
+        for clause in f.clauses
+    )
+    assert report.vertices is report.extra_vertices is None
+    assert report.extra_are_long_cycles is None
+
+
+def assert_matches_dense_reference(f: CnfFormula, report: Ve01Report) -> None:
+    """Reference for an exhaustive report: the vertex set as dense vectors,
+    compared with the trivial family by set algebra on the vectors."""
+    art = build_reduction(f)
+    cycles = enumerate_cycles(art.graph, 2**16)
+    vertices = vertices_from_negative_cycles(art.graph, cycles).points
+    trivial = set(trivial_vertex_family(art))
+    assert report.certificate is None and report.witness is None
+    assert report.vertices == vertices
+    assert report.extra_vertices == tuple(p for p in vertices if p not in trivial)
+    assert report.trivial_is_subset == (trivial <= set(vertices))
+    assert report.trivial_equals_vertices == (trivial == set(vertices))
 
 
 def test_parse_simple_clause() -> None:
@@ -187,17 +223,15 @@ def test_trivial_family_members_are_oracle_vertices() -> None:
 
 
 def test_long_cycle_exists_iff_satisfiable() -> None:
-    # An extra vertex is the 0/1 vector of a weight -1 cycle; read the
-    # cycle's arcs off its support.
+    # The certificate is a long cycle, and its 0/1 vector is a vertex of P
+    # outside the trivial family.
     sat = decide_ve01(parse_dimacs_cnf(SAT_3VAR_3CLAUSE), 2**16)
-    assert sat.extra_vertices
+    assert_certificate(sat)
     g = sat.artifact.graph
-    connectors = set(sat.artifact.connectors)
-    for v in sat.extra_vertices:
-        assert set(v.entries) == {0, 1}
-        assert total_weight(g, v.support()) == -1
-        nodes = {g.arcs[i].tail for i in v.support()}
-        assert connectors <= nodes
+    v = vertex_from_cycle(g, sat.certificate)
+    assert set(v.entries) == {0, 1}
+    assert v not in trivial_vertex_family(sat.artifact)
+    assert oracle_certifies_vertex(build_P(g), v)
 
     unsat = decide_ve01(parse_dimacs_cnf(UNSAT_2VAR), 2**16)
     assert unsat.extra_vertices == ()
@@ -255,16 +289,14 @@ def test_decide_unsat_formula() -> None:
 
 def test_decide_sat_formula_has_long_cycle_witnesses() -> None:
     report = decide_ve01(parse_dimacs_cnf(SAT_3VAR_3CLAUSE), 2**16)
-    assert report.satisfiable
     assert report.trivial_is_subset
-    assert not report.trivial_equals_vertices
-    assert len(report.extra_vertices) > 0
-    assert report.extra_are_long_cycles
+    assert_certificate(report)
 
 
 def test_decide_single_clause_consistency() -> None:
     report = decide_ve01(parse_dimacs_cnf("p cnf 2 1\n1 2 0\n"), 2**16)
     assert report.satisfiable == (not report.trivial_equals_vertices)
+    assert_certificate(report)
 
 
 @pytest.mark.parametrize(
@@ -279,18 +311,47 @@ def test_decide_single_clause_consistency() -> None:
     ],
 )
 def test_decide_matches_dense_vector_reference(text: str) -> None:
-    # Reference: the vertex set as dense vectors, compared with the
-    # trivial family by set algebra on the vectors themselves.
+    # UNSAT reports are exhaustive and match the dense reference. A SAT
+    # report stops at its certificate, which must be one of the reference
+    # vertices outside the trivial family.
     f = parse_dimacs_cnf(text)
-    art = build_reduction(f)
-    cycles = enumerate_cycles(art.graph, 2**16)
-    vertices = vertices_from_negative_cycles(art.graph, cycles).points
-    trivial = set(trivial_vertex_family(art))
     report = decide_ve01(f, 2**16)
-    assert report.vertices == vertices
-    assert report.extra_vertices == tuple(p for p in vertices if p not in trivial)
-    assert report.trivial_is_subset == (trivial <= set(vertices))
-    assert report.trivial_equals_vertices == (trivial == set(vertices))
+    if not report.satisfiable:
+        assert_matches_dense_reference(f, report)
+        return
+    assert_certificate(report)
+    art = report.artifact
+    cycles = enumerate_cycles(art.graph, 2**16)
+    vertices = set(vertices_from_negative_cycles(art.graph, cycles).points)
+    trivial = set(trivial_vertex_family(art))
+    assert vertex_from_cycle(art.graph, report.certificate) in vertices - trivial
+    assert report.trivial_is_subset == (trivial <= vertices)
+
+
+def cnf_formulas(n: int) -> st.SearchStrategy[CnfFormula]:
+    """Up to 5 clauses of 1-3 literals over variables 1..n (none at n = 0)."""
+    if n == 0:
+        return st.just(CnfFormula(0, ()))
+    literal = st.sampled_from([v for i in range(1, n + 1) for v in (i, -i)])
+    clause = st.lists(literal, min_size=1, max_size=3).map(tuple)
+    return st.lists(clause, max_size=5).map(lambda cl: CnfFormula(n, tuple(cl)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 5).flatmap(cnf_formulas))
+@example(CnfFormula(0, ()))
+@example(CnfFormula(3, ()))
+@example(CnfFormula(3, ((2,),)))
+def test_decide_certificate_matches_brute_force(f: CnfFormula) -> None:
+    # Clauses may repeat a literal or hold both polarities, and a variable
+    # may occur in one polarity or none (degenerate chains).
+    report = decide_ve01(f, 2**16)
+    satisfiable, _ = brute_force_sat(f)
+    assert report.satisfiable == satisfiable
+    if satisfiable:
+        assert_certificate(report)
+    else:
+        assert_matches_dense_reference(f, report)
 
 
 def test_decide_report_text() -> None:
