@@ -42,10 +42,8 @@ from .graph import (
     characteristic_vector,
     parse_arc_vector,
     parse_graph,
-    serialize_arc_vector,
     serialize_graph,
     subgraph,
-    total_weight,
 )
 from .polyhedra import (
     DEFAULT_ORACLE_CAP,
@@ -117,10 +115,8 @@ __all__ = [
     "parse_arc_vector",
     "parse_dimacs_cnf",
     "parse_graph",
-    "serialize_arc_vector",
     "serialize_graph",
     "subgraph",
-    "total_weight",
     "trivial_vertex_family",
     "verify_theorem1",
     "vertex_from_cycle",

@@ -2,13 +2,10 @@
 
 Exit codes: 0 success (for `verify`, both set equalities hold), 1 checks
 failed or invalid data, 2 usage or parse errors, 3 a work cap was hit.
-The cycle cap default can be set via NEGFLOW_MAX_CYCLES; explicit
---max-cycles flags win over the environment.
 """
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -37,8 +34,6 @@ from .polyhedra import (
 )
 from .reduction import build_reduction, decide_ve01, parse_dimacs_cnf, trivial_vertex_family
 
-ENV_MAX_CYCLES = "NEGFLOW_MAX_CYCLES"
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -51,9 +46,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--max-cycles",
             type=int,
-            default=None,
-            help=f"cycle enumeration cap (default {DEFAULT_CYCLE_CAP}, "
-            f"or {ENV_MAX_CYCLES})",
+            default=DEFAULT_CYCLE_CAP,
+            help=f"cycle enumeration cap (default {DEFAULT_CYCLE_CAP})",
         )
 
     def add_oracle_cap(p: argparse.ArgumentParser) -> None:
@@ -128,35 +122,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cycle_cap(args: argparse.Namespace) -> int:
-    if getattr(args, "max_cycles", None) is not None:
-        cap = args.max_cycles
-    else:
-        env = os.environ.get(ENV_MAX_CYCLES)
-        if env is None:
-            cap = DEFAULT_CYCLE_CAP
-        else:
-            try:
-                cap = int(env)
-            except ValueError:
-                raise ValueError(f"{ENV_MAX_CYCLES} must be an integer") from None
-    if cap < 1:
+    if args.max_cycles < 1:
         raise ValueError("cycle cap must be positive")
-    return cap
-
-
-def _read(path: Path) -> str:
-    return path.read_text()
+    return args.max_cycles
 
 
 def _run(args: argparse.Namespace) -> int:
     if args.command == "vertices":
-        g = parse_graph(_read(args.graph))
+        g = parse_graph(args.graph.read_text())
         cycles = enumerate_cycles(g, _cycle_cap(args))
         for point in vertices_from_negative_cycles(g, cycles).points:
             print(format_tagged_point("v", point))
         return 0
     if args.command == "directions":
-        g = parse_graph(_read(args.graph))
+        g = parse_graph(args.graph.read_text())
         cap = _cycle_cap(args)
         cycles = enumerate_cycles(g, cap)
         two_cycles = enumerate_two_cycles(g, cycles, cap)
@@ -164,7 +143,7 @@ def _run(args: argparse.Namespace) -> int:
             print(format_tagged_point("d", point))
         return 0
     if args.command == "oracle":
-        g = parse_graph(_read(args.graph))
+        g = parse_graph(args.graph.read_text())
         rep = build_P_prime(g) if args.prime else build_P(g)
         result = oracle_vertices(rep, args.max_oracle)
         if result.polyhedron_empty:
@@ -174,18 +153,18 @@ def _run(args: argparse.Namespace) -> int:
             print(format_tagged_point(tag, point))
         return 0
     if args.command == "verify":
-        g = parse_graph(_read(args.graph))
+        g = parse_graph(args.graph.read_text())
         report = verify_theorem1(g, _cycle_cap(args), args.max_oracle)
         print(report.to_text(), end="")
         return 0 if report.all_match else 1
     if args.command == "decompose":
-        g = parse_graph(_read(args.graph))
-        vector = parse_arc_vector(_read(args.vector), g.arc_count)
+        g = parse_graph(args.graph.read_text())
+        vector = parse_arc_vector(args.vector.read_text(), g.arc_count)
         for cycle, coeff in decompose_circulation(g, vector).terms:
             print(f"t {coeff} : {format_cycle(cycle)}")
         return 0
     if args.command == "reduce":
-        formula = parse_dimacs_cnf(_read(args.cnf))
+        formula = parse_dimacs_cnf(args.cnf.read_text())
         art = build_reduction(formula)
         comments = [
             f"reduction: {formula.variable_count} variables, "
@@ -210,7 +189,7 @@ def _run(args: argparse.Namespace) -> int:
             args.emit_x.write_text("\n".join(lines) + "\n" if lines else "")
         return 0
     if args.command == "decide":
-        formula = parse_dimacs_cnf(_read(args.cnf))
+        formula = parse_dimacs_cnf(args.cnf.read_text())
         report = decide_ve01(formula, _cycle_cap(args))
         print(report.to_text(), end="")
         return 0
@@ -243,11 +222,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CapExceeded as exc:
-        hint = (
-            "--max-oracle"
-            if exc.kind.startswith("oracle")
-            else f"--max-cycles / {ENV_MAX_CYCLES}"
-        )
+        hint = "--max-oracle" if exc.kind.startswith("oracle") else "--max-cycles"
         print(f"error: {exc}; raise {hint}", file=sys.stderr)
         return 3
     except OSError as exc:

@@ -12,11 +12,10 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import product
-from math import lcm
 from typing import Iterator, Sequence
 
 from .errors import CapExceeded, NotACirculation
-from .graph import ArcVector, WeightedDigraph
+from .graph import ArcVector, WeightedDigraph, _scaled
 
 
 class TwoCycleShape(Enum):
@@ -57,13 +56,6 @@ class CycleDecomposition:
 def _canonical(arc_seq: Sequence[int]) -> tuple[int, ...]:
     k = arc_seq.index(min(arc_seq))
     return tuple(arc_seq[k:]) + tuple(arc_seq[:k])
-
-
-def _scaled(weights: Sequence[Fraction]) -> tuple[list[int], int]:
-    """The weights times the LCM of their denominators, and that LCM: a sum
-    of weights is then one ``int`` sum over the LCM."""
-    scale = lcm(*(w.denominator for w in weights))
-    return [w.numerator * (scale // w.denominator) for w in weights], scale
 
 
 def make_cycle(g: WeightedDigraph, arc_seq: Sequence[int]) -> Cycle:

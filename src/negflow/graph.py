@@ -23,6 +23,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Iterable, Sequence
 
 from .errors import ParseError
@@ -44,6 +45,13 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(num, den)
 
 
+def _scaled(weights: Sequence[Fraction]) -> tuple[list[int], int]:
+    """The weights times the LCM of their denominators, and that LCM: a sum
+    of weights is then one ``int`` sum over the LCM."""
+    scale = lcm(*(w.denominator for w in weights))
+    return [w.numerator * (scale // w.denominator) for w in weights], scale
+
+
 @dataclass(frozen=True)
 class Arc:
     arc_id: int
@@ -54,17 +62,10 @@ class Arc:
 
 @dataclass(frozen=True)
 class WeightedDigraph:
-    """Immutable weighted directed multigraph.
-
-    ``node_labels`` / ``arc_labels`` are optional annotation text (used by
-    ``subgraph`` to remember original ids and by the reduction to record
-    node roles); they do not affect identity or serialization of arcs.
-    """
+    """Immutable weighted directed multigraph."""
 
     node_count: int
     arcs: tuple[Arc, ...]
-    node_labels: tuple[str, ...] | None = None
-    arc_labels: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
         if self.node_count < 0:
@@ -76,10 +77,6 @@ class WeightedDigraph:
                 raise ValueError(f"arc {pos}: tail {arc.tail} out of range")
             if not (0 <= arc.head < self.node_count):
                 raise ValueError(f"arc {pos}: head {arc.head} out of range")
-        if self.node_labels is not None and len(self.node_labels) != self.node_count:
-            raise ValueError("node_labels length mismatch")
-        if self.arc_labels is not None and len(self.arc_labels) != len(self.arcs):
-            raise ValueError("arc_labels length mismatch")
 
     @property
     def arc_count(self) -> int:
@@ -116,22 +113,6 @@ class ArcVector:
 
     def support(self) -> tuple[int, ...]:
         return tuple(i for i, v in enumerate(self.entries) if v != 0)
-
-    def is_zero(self) -> bool:
-        return all(v == 0 for v in self.entries)
-
-    def __add__(self, other: "ArcVector") -> "ArcVector":
-        if len(other.entries) != len(self.entries):
-            raise ValueError("dimension mismatch")
-        return ArcVector(tuple(a + b for a, b in zip(self.entries, other.entries)))
-
-    def scale(self, factor: Fraction) -> "ArcVector":
-        f = Fraction(factor)
-        return ArcVector(tuple(f * v for v in self.entries))
-
-    @staticmethod
-    def zero(dimension: int) -> "ArcVector":
-        return ArcVector((Fraction(0),) * dimension)
 
 
 def parse_graph(text: str) -> WeightedDigraph:
@@ -191,7 +172,7 @@ def parse_graph(text: str) -> WeightedDigraph:
 
 
 def serialize_graph(g: WeightedDigraph, comments: Sequence[str] = ()) -> str:
-    """Render a graph back to the file format (labels are not serialized)."""
+    """Render a graph back to the file format."""
     lines = [f"c {c}" if c else "c" for c in comments]
     lines.append(f"p {g.node_count} {g.arc_count}")
     for arc in g.arcs:
@@ -228,22 +209,12 @@ def parse_arc_vector(text: str, arc_count: int) -> ArcVector:
     return ArcVector(tuple(entries))
 
 
-def serialize_arc_vector(v: ArcVector) -> str:
-    lines = [f"e {i} {v.entries[i]}" for i in v.support()]
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
 def _check_arc_ids(g: WeightedDigraph, arc_ids: Iterable[int]) -> list[int]:
     ids = list(arc_ids)
     for arc_id in ids:
         if not (0 <= arc_id < g.arc_count):
             raise ValueError(f"invalid arc id {arc_id}")
     return ids
-
-
-def total_weight(g: WeightedDigraph, arc_ids: Iterable[int]) -> Fraction:
-    """Sum of weights over a multiset of arc ids."""
-    return sum((g.arcs[i].weight for i in _check_arc_ids(g, arc_ids)), Fraction(0))
 
 
 def characteristic_vector(g: WeightedDigraph, arc_ids: Iterable[int]) -> ArcVector:
@@ -257,8 +228,8 @@ def characteristic_vector(g: WeightedDigraph, arc_ids: Iterable[int]) -> ArcVect
 def subgraph(g: WeightedDigraph, arc_ids: Iterable[int]) -> WeightedDigraph:
     """Restriction to an arc set and its incident nodes.
 
-    Nodes are relabeled compactly in increasing original order; labels
-    record the original node indices and arc ids.
+    Nodes are relabeled compactly in increasing original order and arcs
+    renumbered in increasing original id order.
     """
     ids = sorted(set(_check_arc_ids(g, arc_ids)))
     nodes = sorted({g.arcs[i].tail for i in ids} | {g.arcs[i].head for i in ids})
@@ -267,9 +238,4 @@ def subgraph(g: WeightedDigraph, arc_ids: Iterable[int]) -> WeightedDigraph:
         Arc(pos, remap[g.arcs[i].tail], remap[g.arcs[i].head], g.arcs[i].weight)
         for pos, i in enumerate(ids)
     )
-    if g.node_labels is not None:
-        node_labels = tuple(g.node_labels[orig] for orig in nodes)
-    else:
-        node_labels = tuple(str(orig) for orig in nodes)
-    arc_labels = tuple(str(i) for i in ids)
-    return WeightedDigraph(len(nodes), arcs, node_labels, arc_labels)
+    return WeightedDigraph(len(nodes), arcs)

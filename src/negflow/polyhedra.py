@@ -13,11 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Sequence
 
 from .errors import CapExceeded, NegflowError
-from .graph import ArcVector, WeightedDigraph
+from .graph import ArcVector, WeightedDigraph, _scaled
 
 # Work units: 1 per walk node plus (rows changed) x (m + 1) per pivot. The
 # seed-1 `verify-oracle` benchmark pool (m <= 10) peaks at 10,541 units per
@@ -101,12 +100,7 @@ def _flow_rows(g: WeightedDigraph) -> list[tuple[tuple[Fraction, ...], Fraction]
 def _integer_rows(h: HRep) -> list[list[int]]:
     """Each equality as ``coeffs + [rhs]`` over the integers: the row scaled
     by the LCM of its denominators, which keeps its solutions and signs."""
-    rows = []
-    for coeffs, rhs in h.equalities:
-        row = (*coeffs, rhs)
-        scale = lcm(*(v.denominator for v in row))
-        rows.append([v.numerator * (scale // v.denominator) for v in row])
-    return rows
+    return [_scaled((*coeffs, rhs))[0] for coeffs, rhs in h.equalities]
 
 
 def _pivot(matrix: list[list[int]], row: int, col: int, prev: int) -> int:
@@ -132,49 +126,22 @@ def _pivot(matrix: list[list[int]], row: int, col: int, prev: int) -> int:
     return updated
 
 
-def _solve_on_support(
-    rows: Sequence[Sequence[int]],
-    support: Sequence[int],
-    budget: _Budget | None = None,
-) -> tuple[str, list[int] | None, int]:
-    """Solve the integer equalities ``coeffs + [rhs]`` restricted to the
-    support columns.
-
-    Returns ('unique', numerators, denominator) with a positive common
-    denominator, ('none', None, 0) for inconsistent, or ('many', None, 0)
-    for underdetermined systems.
-    """
-    width = len(support)
-    matrix = [[row[c] for c in support] + [row[-1]] for row in rows]
-    pivot_rows: list[int] = []
-    row_at = 0
-    prev = 1
-    for col in range(width):
-        pivot = next(
-            (r for r in range(row_at, len(matrix)) if matrix[r][col] != 0), None
-        )
-        if pivot is None:
-            continue
-        matrix[row_at], matrix[pivot] = matrix[pivot], matrix[row_at]
-        updated = _pivot(matrix, row_at, col, prev)
-        if budget is not None:
-            budget.spend(updated * (width + 1))
-        prev = matrix[row_at][col]
-        pivot_rows.append(col)
-        row_at += 1
-        if row_at == len(matrix):
-            break
-    for r in range(row_at, len(matrix)):
-        if matrix[r][width] != 0:
-            return "none", None, 0
-    if len(pivot_rows) < width:
-        return "many", None, 0
-    # Every pivot row now has ``prev`` on its diagonal.
-    sign = -1 if prev < 0 else 1
-    values = [0] * width
-    for r, col in enumerate(pivot_rows):
-        values[col] = sign * matrix[r][width]
-    return "unique", values, sign * prev
+def _include(
+    matrix: list[list[int]], row_at: int, j: int, prev: int
+) -> tuple[list[list[int]], int] | None:
+    """Pivot column ``j`` into row ``row_at`` of a copy of the tableau, whose
+    rows above ``row_at`` hold the columns already chosen and ``prev`` the
+    last pivot. Rows are replaced, never mutated, so a shallow copy leaves
+    ``matrix`` intact. Returns the new tableau and the number of rows the
+    pivot changed, or ``None`` when column ``j`` has no nonzero at or below
+    ``row_at``: it then depends on the chosen columns, so every support
+    holding them all is inconsistent or underdetermined."""
+    pivot = next((r for r in range(row_at, len(matrix)) if matrix[r][j]), None)
+    if pivot is None:
+        return None
+    matrix = matrix.copy()
+    matrix[row_at], matrix[pivot] = matrix[pivot], matrix[row_at]
+    return matrix, _pivot(matrix, row_at, j, prev)
 
 
 def _prune_rows(rows: list[list[int]]) -> list[tuple[int, int, int]]:
@@ -213,20 +180,17 @@ def oracle_vertices(h: HRep, cap: int = DEFAULT_ORACLE_CAP) -> VertexSet:
     """All vertices by a depth-first walk over supports with exact solving.
 
     The walk decides the arcs in id order: one branch leaves arc ``j`` out,
-    the other pivots column ``j`` into a copy of the integer tableau (rows
-    are replaced, never mutated, so a shallow copy suffices), so supports
-    with a common prefix share its elimination. A column with no nonzero at
-    or below the pivot rows depends on the arcs already chosen, so every
-    support containing it is inconsistent or underdetermined and the branch
-    ends; a branch also ends once no completion of its prefix can meet the
-    sign pattern of every row. A leaf is accepted when its system is
-    consistent and the unique solution is strictly positive; the point
-    extended by zeros is then a basic feasible solution with exactly that
-    support. Each walk node costs 1 unit of the ``"oracle work"`` budget and
-    each pivot ``rows changed x (m + 1)``. The returned ``polyhedron_empty``
-    flag comes from an independent exact phase-1 simplex, and is
-    cross-checked against vertex existence (the polyhedra here are pointed,
-    so the two must agree).
+    the other pivots column ``j`` into a copy of the integer tableau
+    (`_include`), so supports with a common prefix share its elimination.
+    A column that depends on the arcs already chosen ends the branch; so
+    does a prefix that no completion can fit to the sign pattern of every
+    row. A leaf is accepted when its system is consistent and the unique
+    solution is strictly positive; the point extended by zeros is then a
+    basic feasible solution with exactly that support. Each walk node costs
+    1 unit of the ``"oracle work"`` budget and each pivot ``rows changed x
+    (m + 1)``. The returned ``polyhedron_empty`` flag comes from an
+    independent exact phase-1 simplex, and is cross-checked against vertex
+    existence (the polyhedra here are pointed, so the two must agree).
     """
     if cap < 1:
         raise ValueError("cap must be positive")
@@ -252,12 +216,11 @@ def oracle_vertices(h: HRep, cap: int = DEFAULT_ORACLE_CAP) -> VertexSet:
             stack.append((j + 1, matrix, chosen, row_at, prev))
         if not _completable(chosen | bit, allowed, prune):
             continue
-        pivot = next((r for r in range(row_at, len(matrix)) if matrix[r][j]), None)
-        if pivot is None:
+        step = _include(matrix, row_at, j, prev)
+        if step is None:
             continue
-        matrix = matrix.copy()
-        matrix[row_at], matrix[pivot] = matrix[pivot], matrix[row_at]
-        budget.spend(_pivot(matrix, row_at, j, prev) * (m + 1))
+        matrix, changed = step
+        budget.spend(changed * (m + 1))
         stack.append((j + 1, matrix, chosen | bit, row_at + 1, matrix[row_at][j]))
     points.sort(key=lambda p: p.entries)
     empty = not _phase1_feasible(rows, m)
@@ -290,6 +253,23 @@ def _leaf_point(
     return ArcVector(tuple(Fraction(v, den) for v in values))
 
 
+def _support_point(
+    rows: list[list[int]], support: Sequence[int], m: int
+) -> ArcVector | None:
+    """The walk's leaf for one support, in increasing column order: the
+    point strictly positive exactly on it, if the integer equalities have
+    a unique such solution there."""
+    matrix, prev = rows, 1
+    for row_at, j in enumerate(support):
+        step = _include(matrix, row_at, j, prev)
+        if step is None:
+            return None
+        matrix = step[0]
+        prev = matrix[row_at][j]
+    chosen = sum(1 << j for j in support)
+    return _leaf_point(matrix, chosen, len(support), prev, m)
+
+
 def is_feasible_point(h: HRep, y: ArcVector) -> FeasibilityResult:
     """Exact membership test with a report of violated constraints."""
     if len(y.entries) != h.dimension:
@@ -309,12 +289,7 @@ def oracle_certifies_vertex(h: HRep, y: ArcVector) -> bool:
     """The oracle's per-support accept test applied to a single point."""
     if not is_feasible_point(h, y).feasible:
         return False
-    support = y.support()
-    status, values, den = _solve_on_support(_integer_rows(h), support)
-    if status != "unique":
-        return False
-    assert values is not None
-    return [Fraction(v, den) for v in values] == [y.entries[c] for c in support]
+    return _support_point(_integer_rows(h), y.support(), h.dimension) == y
 
 
 def _phase1_feasible(rows: Sequence[Sequence[int]], n: int) -> bool:

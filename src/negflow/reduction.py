@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .characterize import _bool, vertex_from_cycle
-from .cycles import Cycle, _canonical, _iter_arc_cycles, _scaled, cycle_nodes
+from .cycles import Cycle, _canonical, _iter_arc_cycles, cycle_nodes
 from .errors import CapExceeded, NegflowError, ParseError
-from .graph import Arc, ArcVector, WeightedDigraph, characteristic_vector
+from .graph import Arc, ArcVector, WeightedDigraph, _scaled, characteristic_vector
 
 MAX_SAT_VARIABLES = 24
 
@@ -243,11 +243,7 @@ def build_reduction(f: CnfFormula) -> ReductionArtifact:
     expected = 6 * f.occurrence_count + 1 + len(degenerate)
     if len(arcs) != expected:
         raise NegflowError(f"arc budget violated: {len(arcs)} != {expected}")
-    graph = WeightedDigraph(
-        len(roles),
-        tuple(arcs),
-        node_labels=tuple(",".join(r) for r in roles),
-    )
+    graph = WeightedDigraph(len(roles), tuple(arcs))
     return ReductionArtifact(
         graph=graph,
         formula=f,

@@ -197,7 +197,7 @@ def test_format_point_sparse() -> None:
     v = ArcVector((Fraction(0), Fraction(1, 3), Fraction(0), Fraction(2)))
     assert format_point(v) == "1 1/3 3 2"
     assert format_tagged_point("v", v) == "v 1 1/3 3 2"
-    assert format_point(ArcVector.zero(2)) == ""
+    assert format_point(ArcVector((Fraction(0),) * 2)) == ""
 
 
 def _arcs(n: int, *arcs: tuple[int, int, Fraction]) -> WeightedDigraph:

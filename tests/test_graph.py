@@ -14,10 +14,8 @@ from negflow.graph import (
     parse_arc_vector,
     parse_graph,
     parse_rational,
-    serialize_arc_vector,
     serialize_graph,
     subgraph,
-    total_weight,
 )
 
 TRIANGLE = "p 3 3\na 1 2 -1\na 2 3 -1\na 3 1 -1\n"
@@ -50,7 +48,7 @@ def test_parse_triangle() -> None:
 def test_parse_digon_half_weights() -> None:
     g = parse_graph(DIGON)
     assert [a.weight for a in g.arcs] == [Fraction(-1, 2), Fraction(-1, 2)]
-    assert total_weight(g, (0, 1)) == -1
+    assert sum(arc.weight for arc in g.arcs) == -1
 
 
 def test_parse_comments_and_blank_lines() -> None:
@@ -109,15 +107,9 @@ def test_parallel_arcs_and_self_loops_allowed() -> None:
     assert [a.arc_id for a in g.in_arcs[1]] == [0, 1, 2]
 
 
-def test_total_weight_examples() -> None:
-    g = parse_graph(TRIANGLE)
-    assert total_weight(g, (0, 1, 2)) == -3
-    assert total_weight(g, ()) == 0
-
-
 def test_characteristic_vector_examples() -> None:
     g = parse_graph(TRIANGLE)
-    assert characteristic_vector(g, ()).is_zero()
+    assert characteristic_vector(g, ()).entries == (0, 0, 0)
     assert characteristic_vector(g, (0, 2)).entries == (1, 0, 1)
     d = parse_graph(DIGON)
     assert characteristic_vector(d, (0, 1)).entries == (1, 1)
@@ -131,20 +123,13 @@ def test_characteristic_vector_rejects_bad_id() -> None:
 
 def test_arc_vector_ops() -> None:
     v = ArcVector((Fraction(1), Fraction(0), Fraction(2)))
-    w = ArcVector((Fraction(1, 2), Fraction(1), Fraction(0)))
-    assert (v + w).entries == (Fraction(3, 2), 1, 2)
-    assert v.scale(Fraction(1, 2)).entries == (Fraction(1, 2), 0, 1)
     assert v.support() == (0, 2)
-    assert ArcVector.zero(3).is_zero()
-    with pytest.raises(ValueError):
-        v + ArcVector.zero(2)
 
 
 def test_arc_vector_file_round_trip() -> None:
     v = ArcVector((Fraction(0), Fraction(3, 7), Fraction(-2)))
-    text = serialize_arc_vector(v)
-    assert parse_arc_vector(text, 3) == v
-    assert parse_arc_vector("", 3).is_zero()
+    assert parse_arc_vector("e 1 3/7\ne 2 -2\n", 3) == v
+    assert parse_arc_vector("", 3).entries == (0, 0, 0)
 
 
 def test_arc_vector_parse_errors() -> None:
@@ -187,14 +172,12 @@ def test_subgraph_single_arc() -> None:
     h = subgraph(g, (0,))
     assert h.node_count == 2
     assert h.arc_count == 1
-    assert h.arc_labels == ("0",)
 
 
-def test_subgraph_keeps_weights_and_labels() -> None:
+def test_subgraph_keeps_weights() -> None:
     g = parse_graph("p 3 2\na 3 1 5/3\na 1 3 -2\n")
     h = subgraph(g, (1,))
     assert h.arcs[0].weight == -2
-    assert h.node_labels == ("0", "2")
 
 
 @st.composite

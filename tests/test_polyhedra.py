@@ -1,6 +1,7 @@
 """H-representations and the depth-first vertex oracle, checked against the
 support-enumeration oracle it replaced."""
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings
@@ -12,11 +13,11 @@ from negflow.graph import Arc, ArcVector, WeightedDigraph, parse_graph
 from negflow.polyhedra import (
     HRep,
     VertexSet,
-    _Budget,
+    _include,
     _integer_rows,
     _phase1_feasible,
     _prune_rows,
-    _solve_on_support,
+    _support_point,
     build_P,
     build_P_prime,
     is_feasible_point,
@@ -247,6 +248,12 @@ def test_oracle_vertices_are_feasible_and_certified(g: WeightedDigraph) -> None:
     for point in result.points:
         assert is_feasible_point(h, point).feasible
         assert oracle_certifies_vertex(h, point)
+    # A midpoint of two vertices is feasible, but its support holds both
+    # vertices' supports, so its columns are dependent.
+    for a, b in combinations(result.points, 2):
+        mid = ArcVector(tuple((x + y) / 2 for x, y in zip(a.entries, b.entries)))
+        assert is_feasible_point(h, mid).feasible
+        assert not oracle_certifies_vertex(h, mid)
 
 
 @settings(max_examples=40, deadline=None)
@@ -291,11 +298,13 @@ def _reference_pivot(matrix: list[list[Fraction]], row: int, col: int) -> int:
 
 
 def _reference_solve(
-    h: HRep, support: list[int], budget: _Budget
-) -> tuple[str, list[Fraction] | None]:
+    h: HRep, support: list[int]
+) -> tuple[str, list[Fraction] | None, list[tuple[int, int]]]:
+    """Verdict, values on the support if unique, and (column, rows changed)
+    for each column pivoted, in order."""
     width = len(support)
     matrix = [[coeffs[c] for c in support] + [rhs] for coeffs, rhs in h.equalities]
-    pivot_rows: list[int] = []
+    pivots: list[tuple[int, int]] = []
     row_at = 0
     for col in range(width):
         pivot = next(
@@ -304,20 +313,16 @@ def _reference_solve(
         if pivot is None:
             continue
         matrix[row_at], matrix[pivot] = matrix[pivot], matrix[row_at]
-        budget.spend(_reference_pivot(matrix, row_at, col) * (width + 1))
-        pivot_rows.append(col)
+        pivots.append((support[col], _reference_pivot(matrix, row_at, col)))
         row_at += 1
         if row_at == len(matrix):
             break
     for r in range(row_at, len(matrix)):
         if matrix[r][width] != 0:
-            return "none", None
-    if len(pivot_rows) < width:
-        return "many", None
-    values = [Fraction(0)] * width
-    for r, col in enumerate(pivot_rows):
-        values[col] = matrix[r][width]
-    return "unique", values
+            return "none", None, pivots
+    if len(pivots) < width:
+        return "many", None, pivots
+    return "unique", [matrix[r][width] for r in range(width)], pivots
 
 
 def _reference_phase1(h: HRep) -> bool:
@@ -398,16 +403,36 @@ def hreps_with_support(draw: st.DrawFn) -> tuple[HRep, list[int]]:
 def test_support_solve_matches_fraction_reference(
     case: tuple[HRep, list[int]]
 ) -> None:
+    # The fold stops at the first dependent column, where the reference
+    # skips it and goes on; up to there both pivot the same rows.
     h, support = case
-    expected_budget = _Budget("oracle work", 2**30)
-    expected_status, expected = _reference_solve(h, support, expected_budget)
-    budget = _Budget("oracle work", 2**30)
-    status, values, den = _solve_on_support(_integer_rows(h), support, budget)
-    assert status == expected_status
+    status, expected, expected_pivots = _reference_solve(h, support)
+    rows = _integer_rows(h)
+    m = h.dimension
+    matrix, prev = rows, 1
+    pivots = []
+    for row_at, j in enumerate(support):
+        step = _include(matrix, row_at, j, prev)
+        if step is None:
+            assert status != "unique"
+            assert j not in [c for c, _ in expected_pivots]
+            break
+        matrix, changed = step
+        prev = matrix[row_at][j]
+        pivots.append((j, changed))
+    assert pivots == expected_pivots[: len(pivots)]
+    if len(pivots) == len(support):
+        k = len(support)
+        assert status == ("none" if any(row[m] for row in matrix[k:]) else "unique")
     if status == "unique":
-        assert values is not None and den > 0
-        assert [Fraction(v, den) for v in values] == expected
-    assert budget.used == expected_budget.used
+        assert [Fraction(matrix[r][m], prev) for r in range(len(support))] == expected
+    point = None
+    if status == "unique" and all(v > 0 for v in expected):
+        entries = [Fraction(0)] * m
+        for c, v in zip(support, expected):
+            entries[c] = v
+        point = ArcVector(tuple(entries))
+    assert _support_point(rows, support, m) == point
 
 
 @settings(max_examples=300, deadline=None)
@@ -447,17 +472,9 @@ def _reference_oracle_vertices(h: HRep) -> VertexSet:
     for s in range(2**m):
         if not _support_is_plausible(s, prune):
             continue
-        support = [i for i in range(m) if s >> i & 1]
-        status, values, den = _solve_on_support(rows, support)
-        if status != "unique":
-            continue
-        assert values is not None
-        if any(v <= 0 for v in values):
-            continue
-        entries = [Fraction(0)] * m
-        for c, v in zip(support, values):
-            entries[c] = Fraction(v, den)
-        points.append(ArcVector(tuple(entries)))
+        point = _support_point(rows, [i for i in range(m) if s >> i & 1], m)
+        if point is not None:
+            points.append(point)
     points.sort(key=lambda p: p.entries)
     return VertexSet(tuple(points), polyhedron_empty=not _phase1_feasible(rows, m))
 
