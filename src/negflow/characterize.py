@@ -3,12 +3,14 @@
 Vertices of the weight-(-1) circulation polyhedron are negative cycles
 scaled by -1/weight; extreme directions come from zero cycles scaled by
 1/length and from 2-cycles combined with their (mu, mu') coefficients.
+Each is built straight from arc ids as integer numerators over one
+denominator, so no ``Fraction`` arithmetic runs per entry.
 `verify_theorem1` checks both sets against the independent oracle.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from math import gcd
 from typing import Iterable
 
 from .cycles import (
@@ -17,7 +19,7 @@ from .cycles import (
     enumerate_cycles,
     enumerate_two_cycles,
 )
-from .graph import ArcVector, WeightedDigraph
+from .graph import ArcVector, WeightedDigraph, _scaled, sorted_points
 from .polyhedra import (
     DEFAULT_ORACLE_CAP,
     VertexSet,
@@ -29,46 +31,43 @@ from .polyhedra import (
 DEFAULT_CYCLE_CAP = 2**16
 
 
-def _arc_vector(
-    g: WeightedDigraph, terms: Iterable[tuple[Cycle, Fraction]]
-) -> ArcVector:
-    """Sum of coeff * chi(C) over the terms, written into the cycles' arcs
-    only."""
-    entries = [Fraction(0)] * g.arc_count
-    for cycle, coeff in terms:
-        for arc_id in cycle.arc_ids:
-            entries[arc_id] += coeff
-    return ArcVector(tuple(entries))
-
-
 def vertex_from_cycle(g: WeightedDigraph, cycle: Cycle) -> ArcVector:
     """(-1/w(C)) * chi(C); requires a negative cycle."""
-    if cycle.weight >= 0:
+    num, den = cycle.weight.numerator, cycle.weight.denominator
+    if num >= 0:
         raise ValueError("vertex construction needs a negative cycle")
-    return _arc_vector(g, [(cycle, Fraction(-1) / cycle.weight)])
+    items = [(i, den) for i in sorted(cycle.arc_ids)]
+    return ArcVector.from_ints(g.arc_count, -num, items)
 
 
 def direction_from_zero_cycle(g: WeightedDigraph, cycle: Cycle) -> ArcVector:
     """(1/|C|) * chi(C); requires a zero-weight cycle."""
-    if cycle.weight != 0:
+    if cycle.weight.numerator != 0:
         raise ValueError("direction construction needs a zero-weight cycle")
-    return _arc_vector(g, [(cycle, Fraction(1, cycle.length))])
+    items = [(i, 1) for i in sorted(cycle.arc_ids)]
+    return ArcVector.from_ints(g.arc_count, cycle.length, items)
 
 
 def direction_from_two_cycle(g: WeightedDigraph, tc: TwoCycle) -> ArcVector:
-    """mu * chi(C1) + mu' * chi(C2)."""
-    return _arc_vector(g, [(tc.negative, tc.mu), (tc.positive, tc.mu_prime)])
+    """mu * chi(C1) + mu' * chi(C2). With the weights W1 < 0 < W2 scaled to
+    integers over a common denominator, that is W2 on the arcs only in C1,
+    -W1 on those only in C2 and W2 - W1 on shared ones, all over
+    D = W2 |C1| - W1 |C2|."""
+    c1, c2 = tc.negative, tc.positive
+    (w1, w2), _ = _scaled((c1.weight, c2.weight))
+    nums = dict.fromkeys(c1.arc_ids, w2)
+    for i in c2.arc_ids:
+        nums[i] = nums.get(i, 0) - w1
+    return ArcVector.from_ints(
+        g.arc_count, w2 * c1.length - w1 * c2.length, sorted(nums.items())
+    )
 
 
 def vertices_from_negative_cycles(
     g: WeightedDigraph, cycles: Iterable[Cycle]
 ) -> VertexSet:
-    points = {
-        vertex_from_cycle(g, c)
-        for c in cycles
-        if c.weight < 0
-    }
-    return VertexSet(tuple(sorted(points, key=lambda p: p.entries)))
+    points = {vertex_from_cycle(g, c) for c in cycles if c.weight.numerator < 0}
+    return VertexSet(sorted_points(points))
 
 
 def directions_from_cycles(
@@ -76,13 +75,10 @@ def directions_from_cycles(
 ) -> VertexSet:
     """Deduplicated union of zero-cycle and 2-cycle direction vectors."""
     points = {
-        direction_from_zero_cycle(g, c)
-        for c in cycles
-        if c.weight == 0
+        direction_from_zero_cycle(g, c) for c in cycles if c.weight.numerator == 0
     }
-    for tc in two_cycles:
-        points.add(direction_from_two_cycle(g, tc))
-    return VertexSet(tuple(sorted(points, key=lambda p: p.entries)))
+    points.update(direction_from_two_cycle(g, tc) for tc in two_cycles)
+    return VertexSet(sorted_points(points))
 
 
 @dataclass(frozen=True)
@@ -132,16 +128,22 @@ def _diff_lines(kind: str, formula: VertexSet, oracle: VertexSet) -> list[str]:
     formula_set = set(formula.points)
     oracle_set = set(oracle.points)
     lines = []
-    for p in sorted(formula_set - oracle_set, key=lambda p: p.entries):
+    for p in sorted_points(formula_set - oracle_set):
         lines.append(f"{kind}_only_in_formula: {format_point(p)}")
-    for p in sorted(oracle_set - formula_set, key=lambda p: p.entries):
+    for p in sorted_points(oracle_set - formula_set):
         lines.append(f"{kind}_only_in_oracle: {format_point(p)}")
     return lines
 
 
 def format_point(v: ArcVector) -> str:
-    """Sparse one-line rendering: arc-id value pairs, zeros omitted."""
-    return " ".join(f"{i} {v.entries[i]}" for i in v.support())
+    """Sparse one-line rendering: arc-id value pairs, zeros omitted, each
+    value in lowest terms as ``str(Fraction)`` prints it."""
+    parts = []
+    for i, n in v.items:
+        common = gcd(n, v.den)
+        num, den = n // common, v.den // common
+        parts.append(f"{i} {num}" if den == 1 else f"{i} {num}/{den}")
+    return " ".join(parts)
 
 
 def format_tagged_point(tag: str, v: ArcVector) -> str:

@@ -186,28 +186,44 @@ def enumerate_cycles(g: WeightedDigraph, cap: int) -> tuple[Cycle, ...]:
     return tuple(found)
 
 
+def _masks(g: WeightedDigraph, cycle: Cycle) -> tuple[int, int]:
+    """Bitmasks of the cycle's arcs and of its nodes, built on first use and
+    kept on the cycle (its arc ids already tie it to ``g``), so a cycle
+    tested against many partners builds them once."""
+    masks = cycle.__dict__.get("_masks")
+    if masks is None:
+        arcs = nodes = 0
+        for i in cycle.arc_ids:
+            arcs |= 1 << i
+            nodes |= 1 << g.arcs[i].tail
+        masks = cycle.__dict__["_masks"] = (arcs, nodes)
+    return masks
+
+
 def is_two_cycle(g: WeightedDigraph, c1: Cycle, c2: Cycle) -> TwoCycle | None:
     """Decide the 2-cycle property by counting shared nodes and arcs.
 
     Requires w(c1) < 0 < w(c2); returns None when the pair is not a
-    2-cycle (wrong signs, equal cycles, or a third cycle in the union).
+    2-cycle (wrong signs or a third cycle in the union).
     """
-    if not (c1.weight < 0 < c2.weight) or c1 == c2:
+    if not c1.weight.numerator < 0 < c2.weight.numerator:
         return None
-    shared_arcs = set(c1.arc_ids) & set(c2.arc_ids)
-    shared_nodes = set(cycle_nodes(g, c1)).intersection(cycle_nodes(g, c2))
+    arcs1, nodes1 = _masks(g, c1)
+    arcs2, nodes2 = _masks(g, c2)
+    shared_arcs = (arcs1 & arcs2).bit_count()
     # Two distinct simple cycles share arcs only as vertex-disjoint directed
     # paths, so their shared part has |nodes| - |arcs| components. At two or
     # more, leaving one component along c2 and coming back along c1 closes a
     # third cycle. At one or none the union is two disjoint cycles, a
     # figure-eight or three internally disjoint paths: exactly c1 and c2.
-    if len(shared_nodes) - len(shared_arcs) >= 2:
+    if (nodes1 & nodes2).bit_count() - shared_arcs >= 2:
         return None
     shape = TwoCycleShape.THREE_PATH if shared_arcs else TwoCycleShape.EDGE_DISJOINT
-    denom = c2.weight * c1.length - c1.weight * c2.length
-    if denom <= 0:
-        raise ValueError(f"nonpositive 2-cycle denominator {denom}")
-    return TwoCycle(c1, c2, shape, c2.weight / denom, -c1.weight / denom)
+    # mu = w2 / D and mu' = -w1 / D with D = w2 |c1| - w1 |c2| > 0, taken
+    # over the integer weights.
+    (w1, w2), _ = _scaled((c1.weight, c2.weight))
+    denom = w2 * c1.length - w1 * c2.length
+    return TwoCycle(c1, c2, shape, Fraction(w2, denom), Fraction(-w1, denom))
 
 
 def enumerate_two_cycles(
@@ -219,8 +235,8 @@ def enumerate_two_cycles(
     (negative, positive) canonical arc ids. The cap bounds the number of
     sign-mixed pairs tested.
     """
-    negatives = [c for c in cycles if c.weight < 0]
-    positives = [c for c in cycles if c.weight > 0]
+    negatives = [c for c in cycles if c.weight.numerator < 0]
+    positives = [c for c in cycles if c.weight.numerator > 0]
     if len(negatives) * len(positives) > cap:
         raise CapExceeded(
             "two-cycle pairs", cap, f"{len(negatives) * len(positives)} pairs"
@@ -278,19 +294,19 @@ def decompose_circulation(g: WeightedDigraph, y: ArcVector) -> CycleDecompositio
     value along it; at least one arc leaves the support per round, so the
     result has at most |support| terms.
     """
-    if len(y.entries) != g.arc_count:
+    if len(y) != g.arc_count:
         raise ValueError("vector dimension does not match arc count")
-    for i, v in enumerate(y.entries):
+    values = list(y.entries)
+    for i, v in enumerate(values):
         if v < 0:
             raise NotACirculation(f"negative value {v} on arc {i}")
     for node in range(g.node_count):
-        balance = sum((y.entries[a.arc_id] for a in g.out_arcs[node]), Fraction(0))
-        balance -= sum((y.entries[a.arc_id] for a in g.in_arcs[node]), Fraction(0))
+        balance = sum((values[a.arc_id] for a in g.out_arcs[node]), Fraction(0))
+        balance -= sum((values[a.arc_id] for a in g.in_arcs[node]), Fraction(0))
         if balance != 0:
             raise NotACirculation(
                 f"flow conservation violated at node {node}", node=node
             )
-    values = list(y.entries)
     terms: list[tuple[Cycle, Fraction]] = []
     while True:
         support = [i for i, v in enumerate(values) if v > 0]

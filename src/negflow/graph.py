@@ -23,7 +23,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
+from numbers import Rational
 from typing import Iterable, Sequence
 
 from .errors import ParseError
@@ -45,7 +46,7 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(num, den)
 
 
-def _scaled(weights: Sequence[Fraction]) -> tuple[list[int], int]:
+def _scaled(weights: Sequence[Rational]) -> tuple[list[int], int]:
     """The weights times the LCM of their denominators, and that LCM: a sum
     of weights is then one ``int`` sum over the LCM."""
     scale = lcm(*(w.denominator for w in weights))
@@ -99,20 +100,83 @@ class WeightedDigraph:
         return tuple(tuple(b) for b in buckets)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class ArcVector:
-    """Dense vector of rationals indexed by arc id."""
+    """Exact vector indexed by arc id, in canonical integer form.
 
-    entries: tuple[Fraction, ...]
+    ``items`` holds the nonzero entries as ``(arc id, numerator)`` pairs
+    sorted by arc id, all over the one positive denominator ``den``; the
+    gcd of ``den`` and every numerator is 1. So equal vectors have equal
+    fields, and equality, hashing and ordering run on ``int``. Dense
+    ``Fraction`` entries are the parsing and test boundary:
+    ``ArcVector(entries)`` builds from them and ``.entries`` rebuilds them.
+    """
+
+    dimension: int
+    den: int
+    items: tuple[tuple[int, int], ...]
+
+    def __init__(self, entries: Sequence[Rational]) -> None:
+        nums, den = _scaled(entries)
+        self._set(len(nums), den, [(i, n) for i, n in enumerate(nums) if n])
+
+    @classmethod
+    def from_ints(
+        cls, dimension: int, den: int, items: Iterable[tuple[int, int]]
+    ) -> ArcVector:
+        """The vector with entry ``num / den`` at each ``(arc id, num)`` of
+        ``items``, which come sorted by arc id with nonzero ``num``;
+        ``den`` is nonzero. Any common factor is divided out."""
+        v = cls.__new__(cls)
+        v._set(dimension, den, items)
+        return v
+
+    def _set(
+        self, dimension: int, den: int, items: Iterable[tuple[int, int]]
+    ) -> None:
+        items = tuple(items)
+        common = gcd(den, *(n for _, n in items))
+        if den < 0:
+            common = -common
+        if common != 1:
+            den //= common
+            items = tuple((i, n // common) for i, n in items)
+        object.__setattr__(self, "dimension", dimension)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "items", items)
+
+    @property
+    def entries(self) -> tuple[Fraction, ...]:
+        """The dense entries, built on each read."""
+        dense = [Fraction(0)] * self.dimension
+        for i, n in self.items:
+            dense[i] = Fraction(n, self.den)
+        return tuple(dense)
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return self.dimension
 
     def __getitem__(self, arc_id: int) -> Fraction:
         return self.entries[arc_id]
 
     def support(self) -> tuple[int, ...]:
-        return tuple(i for i, v in enumerate(self.entries) if v != 0)
+        return tuple(i for i, _ in self.items)
+
+
+def sorted_points(points: Iterable[ArcVector]) -> tuple[ArcVector, ...]:
+    """The points in the order of their dense ``Fraction`` entries, compared
+    as dense ``int`` vectors over the points' common denominator."""
+    points = list(points)
+    scale = lcm(*(p.den for p in points))
+
+    def dense(p: ArcVector) -> list[int]:
+        out = [0] * p.dimension
+        factor = scale // p.den
+        for i, n in p.items:
+            out[i] = n * factor
+        return out
+
+    return tuple(sorted(points, key=dense))
 
 
 def parse_graph(text: str) -> WeightedDigraph:
@@ -183,7 +247,7 @@ def serialize_graph(g: WeightedDigraph, comments: Sequence[str] = ()) -> str:
 
 
 def parse_arc_vector(text: str, arc_count: int) -> ArcVector:
-    """Parse ``e <arc_id> <rational>`` lines into a dense vector."""
+    """Parse ``e <arc_id> <rational>`` lines into a vector."""
     entries = [Fraction(0)] * arc_count
     seen: set[int] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -219,10 +283,8 @@ def _check_arc_ids(g: WeightedDigraph, arc_ids: Iterable[int]) -> list[int]:
 
 def characteristic_vector(g: WeightedDigraph, arc_ids: Iterable[int]) -> ArcVector:
     """0/1 vector with ones exactly on the given arc set."""
-    entries = [Fraction(0)] * g.arc_count
-    for arc_id in _check_arc_ids(g, arc_ids):
-        entries[arc_id] = Fraction(1)
-    return ArcVector(tuple(entries))
+    ids = sorted(set(_check_arc_ids(g, arc_ids)))
+    return ArcVector.from_ints(g.arc_count, 1, [(i, 1) for i in ids])
 
 
 def subgraph(g: WeightedDigraph, arc_ids: Iterable[int]) -> WeightedDigraph:

@@ -4,9 +4,9 @@ The oracle walks the candidate supports depth first, deciding one arc at a
 time, and solves the equality system exactly; supports with a common prefix
 share its elimination. It never touches floating point and has no tolerance
 anywhere. Each equality is scaled to integers once per call, the walk and
-phase 1 run fraction-free elimination on ``int``, and only accepted
-vertices become ``Fraction``s. Walk nodes and elimination steps are charged
-against one work budget. The oracle is deliberately independent of the
+phase 1 run fraction-free elimination on ``int``, and each accepted vertex
+is read off as integer numerators over the last pivot. Walk nodes and
+elimination steps are charged against one work budget. The oracle is deliberately independent of the
 cycle-based characterization it is used to validate.
 """
 from __future__ import annotations
@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import CapExceeded, NegflowError
-from .graph import ArcVector, WeightedDigraph, _scaled
+from .graph import ArcVector, WeightedDigraph, _scaled, sorted_points
 
 # Work units: 1 per walk node plus (rows changed) x (m + 1) per pivot. The
 # seed-1 `verify-oracle` benchmark pool (m <= 10) peaks at 10,541 units per
@@ -222,13 +222,12 @@ def oracle_vertices(h: HRep, cap: int = DEFAULT_ORACLE_CAP) -> VertexSet:
         matrix, changed = step
         budget.spend(changed * (m + 1))
         stack.append((j + 1, matrix, chosen | bit, row_at + 1, matrix[row_at][j]))
-    points.sort(key=lambda p: p.entries)
     empty = not _phase1_feasible(rows, m)
     if empty != (not points):
         raise NegflowError(
             "feasibility flag contradicts vertex enumeration on a pointed polyhedron"
         )
-    return VertexSet(tuple(points), polyhedron_empty=empty)
+    return VertexSet(sorted_points(points), polyhedron_empty=empty)
 
 
 def _leaf_point(
@@ -240,17 +239,16 @@ def _leaf_point(
     if any(matrix[r][m] for r in range(row_at, len(matrix))):
         return None
     sign = -1 if prev < 0 else 1
-    values = [0] * m
+    items = []
     r = 0
     for c in range(m):
         if chosen >> c & 1:
             v = sign * matrix[r][m]
             if v <= 0:
                 return None
-            values[c] = v
+            items.append((c, v))
             r += 1
-    den = sign * prev
-    return ArcVector(tuple(Fraction(v, den) for v in values))
+    return ArcVector.from_ints(m, sign * prev, items)
 
 
 def _support_point(
@@ -272,14 +270,15 @@ def _support_point(
 
 def is_feasible_point(h: HRep, y: ArcVector) -> FeasibilityResult:
     """Exact membership test with a report of violated constraints."""
-    if len(y.entries) != h.dimension:
+    if len(y) != h.dimension:
         raise ValueError("vector dimension does not match H-representation")
+    entries = y.entries
     violations = []
     for idx, (coeffs, rhs) in enumerate(h.equalities):
-        lhs = sum((c * v for c, v in zip(coeffs, y.entries)), Fraction(0))
+        lhs = sum((c * v for c, v in zip(coeffs, entries)), Fraction(0))
         if lhs != rhs:
             violations.append(f"eq {idx}: lhs {lhs} != rhs {rhs}")
-    for i, v in enumerate(y.entries):
+    for i, v in enumerate(entries):
         if v < 0:
             violations.append(f"coordinate {i} is negative: {v}")
     return FeasibilityResult(not violations, tuple(violations))

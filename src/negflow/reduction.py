@@ -16,7 +16,14 @@ from fractions import Fraction
 from .characterize import _bool, vertex_from_cycle
 from .cycles import Cycle, _canonical, _iter_arc_cycles, cycle_nodes
 from .errors import CapExceeded, NegflowError, ParseError
-from .graph import Arc, ArcVector, WeightedDigraph, _scaled, characteristic_vector
+from .graph import (
+    Arc,
+    ArcVector,
+    WeightedDigraph,
+    _scaled,
+    characteristic_vector,
+    sorted_points,
+)
 
 MAX_SAT_VARIABLES = 24
 
@@ -376,21 +383,21 @@ def decide_ve01(f: CnfFormula, cap: int) -> Ve01Report:
         negative.append(Cycle(_canonical(seq), weight))
     trivial_ids = {(occ.a_b, occ.b_a) for occ in art.occurrences}
     cycle_ids = {c.arc_ids for c in negative}
-    ranked = sorted(
-        ((vertex_from_cycle(g, c), c) for c in negative),
-        key=lambda pc: pc[0].entries,
-    )
-    extra = [(p, c) for p, c in ranked if c.arc_ids not in trivial_ids]
+    # Distinct cycles have distinct supports, so distinct vertices.
+    cycle_of = {vertex_from_cycle(g, c): c for c in negative}
+    ranked = sorted_points(cycle_of)
+    extra = [p for p in ranked if cycle_of[p].arc_ids not in trivial_ids]
     extra_long = all(
-        c.weight == -1 and required <= set(cycle_nodes(g, c)) for _, c in extra
+        c.weight == -1 and required <= set(cycle_nodes(g, c))
+        for c in (cycle_of[p] for p in extra)
     )
     return Ve01Report(
         artifact=art,
         trivial_family=trivial_vertex_family(art),
-        vertices=tuple(p for p, _ in ranked),
+        vertices=ranked,
         trivial_is_subset=trivial_ids <= cycle_ids,
         trivial_equals_vertices=trivial_ids == cycle_ids,
-        extra_vertices=tuple(p for p, _ in extra),
+        extra_vertices=tuple(extra),
         extra_are_long_cycles=extra_long,
         satisfiable=False,
         witness=None,

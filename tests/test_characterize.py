@@ -20,10 +20,22 @@ from negflow.characterize import (
 )
 from negflow import cycles as cycles_module
 from negflow.cli import main
-from negflow.cycles import TwoCycleShape, enumerate_cycles, enumerate_two_cycles
+from negflow.cycles import (
+    Cycle,
+    TwoCycleShape,
+    enumerate_cycles,
+    enumerate_two_cycles,
+)
 from negflow.generators import gen_fig1, gen_fig3, gen_random
 from negflow.graph import Arc, ArcVector, WeightedDigraph, parse_graph, serialize_graph
-from negflow.polyhedra import VertexSet, build_P_prime, oracle_certifies_vertex
+from negflow.polyhedra import (
+    HRep,
+    VertexSet,
+    build_P,
+    build_P_prime,
+    oracle_certifies_vertex,
+    oracle_vertices,
+)
 from negflow.reduction import decide_ve01, parse_dimacs_cnf
 
 TRIANGLE = parse_graph("p 3 3\na 1 2 -1\na 2 3 -1\na 3 1 -1\n")
@@ -200,6 +212,17 @@ def test_format_point_sparse() -> None:
     assert format_point(ArcVector((Fraction(0),) * 2)) == ""
 
 
+def test_format_point_reduces_each_entry() -> None:
+    (d,) = oracle_vertices(build_P_prime(RATIONAL_WEIGHTS), 2**8).points
+    assert (d.den, d.items) == (20, ((0, 9), (1, 2), (2, 2), (3, 7)))
+    assert format_point(d) == "0 9/20 1 1/10 2 1/10 3 7/20"
+    v = ArcVector((Fraction(-6, 4), Fraction(0), Fraction(-2), Fraction(1, 6)))
+    assert format_point(v) == "0 -3/2 2 -2 3 1/6"
+    # The only point of an empty system in 30 arcs is the origin.
+    (origin,) = oracle_vertices(HRep(30, ()), 2**8).points
+    assert format_tagged_point("v", origin) == "v"
+
+
 def _arcs(n: int, *arcs: tuple[int, int, Fraction]) -> WeightedDigraph:
     return WeightedDigraph(
         n, tuple(Arc(i, t, h, w) for i, (t, h, w) in enumerate(arcs))
@@ -227,20 +250,94 @@ def graphs(draw: st.DrawFn) -> WeightedDigraph:
 STRATEGY_ORACLE_CAP = 2**13
 
 
+# A digon weighing 1/3 - 1/2 sharing arc 0->1 with a triangle weighing
+# 1/3 - 1/2 + 3/4: the weight rows scale by 12, the other rows by 1. Its one
+# direction is (9/20, 1/10, 1/10, 7/20): two entries print in lower terms
+# than the vector's common denominator 20.
+RATIONAL_WEIGHTS = _arcs(
+    3,
+    (0, 1, Fraction(1, 3)), (1, 2, Fraction(-1, 2)), (2, 0, Fraction(3, 4)),
+    (1, 0, Fraction(-1, 2)),
+)
+# Three weight-0 loops, two parallel weight -1 arcs 0->1 and two parallel
+# weight-0 arcs 1->0 (as in test_polyhedra.py): zero loops give directions,
+# and distinct cycles share their nodes.
+LOOPY_MULTIGRAPH = _arcs(
+    2,
+    (0, 0, 0), (0, 0, 0), (0, 0, 0),
+    (0, 1, -1), (0, 1, -1),
+    (1, 0, 0), (1, 0, 0),
+)
+
+
 @settings(max_examples=60, deadline=None)
 @given(graphs())
-# A digon weighing 1/3 - 1/2 sharing arc 0->1 with a triangle weighing
-# 1/3 - 1/2 + 3/4: the weight rows scale by 12, the other rows by 1.
-@example(
-    _arcs(
-        3,
-        (0, 1, Fraction(1, 3)), (1, 2, Fraction(-1, 2)), (2, 0, Fraction(3, 4)),
-        (1, 0, Fraction(-1, 2)),
-    )
-)
+@example(RATIONAL_WEIGHTS)
 def test_formula_matches_oracle_on_random_graphs(g: WeightedDigraph) -> None:
     report = verify_theorem1(g, 2**12, STRATEGY_ORACLE_CAP)
     assert report.all_match
+
+
+# The dense builders the integer ones replaced, kept as their reference:
+# each vector is a tuple of m Fractions summed coefficient by coefficient,
+# the set dedupes them and they sort by their entries.
+
+
+def _dense_arc_vector(
+    g: WeightedDigraph, terms: list[tuple[Cycle, Fraction]]
+) -> tuple[Fraction, ...]:
+    entries = [Fraction(0)] * g.arc_count
+    for cycle, coeff in terms:
+        for arc_id in cycle.arc_ids:
+            entries[arc_id] += coeff
+    return tuple(entries)
+
+
+def _dense_vertices(g: WeightedDigraph, cycles) -> list[tuple[Fraction, ...]]:
+    return sorted(
+        {_dense_arc_vector(g, [(c, -1 / c.weight)]) for c in cycles if c.weight < 0}
+    )
+
+
+def _dense_directions(
+    g: WeightedDigraph, cycles, two_cycles
+) -> list[tuple[Fraction, ...]]:
+    points = {
+        _dense_arc_vector(g, [(c, Fraction(1, c.length))])
+        for c in cycles
+        if c.weight == 0
+    }
+    for tc in two_cycles:
+        c1, c2 = tc.negative, tc.positive
+        denom = c2.weight * c1.length - c1.weight * c2.length
+        assert (tc.mu, tc.mu_prime) == (c2.weight / denom, -c1.weight / denom)
+        points.add(_dense_arc_vector(g, [(c1, tc.mu), (c2, tc.mu_prime)]))
+    return sorted(points)
+
+
+def _dense_line(entries: tuple[Fraction, ...]) -> str:
+    return " ".join(f"{i} {v}" for i, v in enumerate(entries) if v)
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs())
+@example(RATIONAL_WEIGHTS)
+@example(LOOPY_MULTIGRAPH)
+def test_integer_vectors_match_dense_reference(g: WeightedDigraph) -> None:
+    cycles = enumerate_cycles(g, 2**12)
+    two_cycles = enumerate_two_cycles(g, cycles, 2**12)
+    vertices = _dense_vertices(g, cycles)
+    directions = _dense_directions(g, cycles, two_cycles)
+    for got, dense in (
+        (vertices_from_negative_cycles(g, cycles), vertices),
+        (directions_from_cycles(g, cycles, two_cycles), directions),
+        (oracle_vertices(build_P(g), STRATEGY_ORACLE_CAP), vertices),
+        (oracle_vertices(build_P_prime(g), STRATEGY_ORACLE_CAP), directions),
+    ):
+        assert [p.entries for p in got.points] == dense
+        assert list(got.points) == [ArcVector(e) for e in dense]
+        assert [hash(p) for p in got.points] == [hash(ArcVector(e)) for e in dense]
+        assert [format_point(p) for p in got.points] == [_dense_line(e) for e in dense]
 
 
 def _theorem1_family() -> list[WeightedDigraph]:

@@ -54,6 +54,39 @@ def test_oracle_matches_formula(
     assert capsys.readouterr().out == formula
 
 
+# Rational weights, parallel arcs 2->1 (-1/2 and 1/6), a negative loop at
+# node 3 and a zero loop at node 1. The vertices sort by their dense
+# entries, not by arc id, and the direction (9/20, 1/10, 1/10, 7/20) prints
+# each entry in its own lowest terms.
+MULTIGRAPH = (
+    "p 3 7\na 1 2 1/3\na 2 3 -1/2\na 3 1 3/4\na 2 1 -1/2\na 2 1 1/6\n"
+    "a 3 3 -2/3\na 1 1 0\n"
+)
+MULTIGRAPH_VERTICES = "v 5 3/2\nv 0 6 3 6\n"
+MULTIGRAPH_DIRECTIONS = (
+    "d 6 1\n"
+    "d 0 8/31 1 8/31 2 8/31 5 7/31\n"
+    "d 0 4/11 4 4/11 5 3/11\n"
+    "d 0 9/20 1 1/10 2 1/10 3 7/20\n"
+    "d 0 1/2 3 3/8 4 1/8\n"
+)
+
+
+def test_golden_output_on_rational_multigraph(
+    tmp_path: Path, capsys: pytest.CaptureFixture[str]
+) -> None:
+    graph = tmp_path / "multi.graph"
+    graph.write_text(MULTIGRAPH)
+    for argv, expected in (
+        (["vertices"], MULTIGRAPH_VERTICES),
+        (["oracle"], MULTIGRAPH_VERTICES),
+        (["directions"], MULTIGRAPH_DIRECTIONS),
+        (["oracle", "--prime"], MULTIGRAPH_DIRECTIONS),
+    ):
+        assert main([argv[0], str(graph), *argv[1:]]) == 0
+        assert capsys.readouterr() == (expected, "")
+
+
 def test_oracle_prime_empty(triangle: Path, capsys: pytest.CaptureFixture[str]) -> None:
     assert main(["oracle", str(triangle), "--prime"]) == 0
     assert capsys.readouterr().out == "c polyhedron empty\n"

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from negflow.characterize import directions_from_cycles
 from negflow.cycles import (
     Cycle,
     TwoCycleShape,
@@ -26,7 +27,7 @@ from negflow.cycles import (
     make_cycle,
 )
 from negflow.errors import CapExceeded, NotACirculation
-from negflow.generators import gen_fig1, gen_fig3
+from negflow.generators import gen_fig1, gen_fig3, gen_random
 from negflow.graph import (
     Arc,
     ArcVector,
@@ -203,6 +204,44 @@ def test_enumeration_sums_weights_as_integers() -> None:
     assert set(calls) <= {"__new__", "numerator", "denominator"}
     assert 1 <= calls["__new__"] <= len(cycles)
     assert calls["numerator"] + calls["denominator"] <= 3 * g.arc_count
+
+
+def test_two_cycles_and_directions_use_no_fraction_arithmetic() -> None:
+    # Arc i's weight over 1 + i mod 3: 15 cycles (2 zero, 3 negative, 10
+    # positive), 30 sign-mixed pairs, 13 of them 2-cycles.
+    g = gen_random(6, 13, (-3, 3), 2)
+    g = WeightedDigraph(
+        g.node_count,
+        tuple(
+            Arc(a.arc_id, a.tail, a.head, a.weight / (1 + a.arc_id % 3))
+            for a in g.arcs
+        ),
+    )
+    cycles = enumerate_cycles(g, 2**10)
+    pairs = sum(c.weight < 0 for c in cycles) * sum(c.weight > 0 for c in cycles)
+    two_cycles, pair_calls = _fraction_calls(
+        lambda: enumerate_two_cycles(g, cycles, 2**10)
+    )
+    assert (len(cycles), pairs, len(two_cycles)) == (15, 30, 13)
+    points, vector_calls = _fraction_calls(
+        lambda: directions_from_cycles(g, cycles, two_cycles)
+    )
+    assert len(points.points) > 2
+    # Signs are read off numerators, and a 2-cycle's mu and mu' are one
+    # Fraction each, built from integer weights; vectors are integers only.
+    for calls in (pair_calls, vector_calls):
+        assert set(calls) <= {"__new__", "numerator", "denominator"}
+    assert pair_calls["__new__"] <= 2 * len(two_cycles)
+    assert vector_calls["__new__"] == 0
+    reads = ("numerator", "denominator")
+    assert sum(pair_calls[r] for r in reads) <= 2 * len(cycles) + 8 * pairs
+    assert sum(vector_calls[r] for r in reads) <= 2 * len(cycles) + 6 * len(two_cycles)
+    # A pair that is not a 2-cycle builds no Fraction at all.
+    c1 = next(c for c in cycles if c.weight < 0)
+    c2 = next(c for c in cycles if c.weight > 0 and is_two_cycle(g, c1, c) is None)
+    result, calls = _fraction_calls(lambda: is_two_cycle(g, c1, c2))
+    assert result is None
+    assert set(calls) <= {"numerator"}
 
 
 def test_node_cycles_match_networkx() -> None:

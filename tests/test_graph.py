@@ -132,6 +132,57 @@ def test_arc_vector_file_round_trip() -> None:
     assert parse_arc_vector("", 3).entries == (0, 0, 0)
 
 
+def test_arc_vector_dense_and_integer_forms_agree() -> None:
+    dense = ArcVector((Fraction(1, 2), Fraction(0), Fraction(-3, 4)))
+    built = ArcVector.from_ints(3, 4, [(0, 2), (2, -3)])
+    assert dense == built
+    assert hash(dense) == hash(built)
+    assert (built.dimension, built.den, built.items) == (3, 4, ((0, 2), (2, -3)))
+    assert built.entries == (Fraction(1, 2), 0, Fraction(-3, 4))
+
+
+def test_arc_vector_reduces_to_one_form() -> None:
+    half = ArcVector((Fraction(1, 2),))
+    for v in (
+        ArcVector((Fraction(2, 4),)),
+        ArcVector.from_ints(1, 4, [(0, 2)]),
+        ArcVector.from_ints(1, -2, [(0, -1)]),
+    ):
+        assert v == half
+        assert hash(v) == hash(half)
+        assert (v.den, v.items) == (2, ((0, 1),))
+    assert ArcVector.from_ints(2, 6, [(0, 4), (1, 2)]) != ArcVector.from_ints(
+        2, 6, [(0, 2), (1, 4)]
+    )
+
+
+def test_arc_vector_zero_and_negative_entries() -> None:
+    zero = ArcVector((Fraction(0),) * 30)
+    assert (zero.den, zero.items, len(zero), zero.support()) == (1, (), 30, ())
+    assert zero == ArcVector.from_ints(30, 7, [])
+    assert zero != ArcVector((Fraction(0),) * 29)
+    v = ArcVector((Fraction(-1, 3), Fraction(0), Fraction(2)))
+    assert (v.den, v.items) == (3, ((0, -1), (2, 6)))
+    assert len(v) == 3
+    assert v.support() == (0, 2)
+    assert (v[0], v[1], v[2], v[-1]) == (Fraction(-1, 3), 0, 2, 2)
+    with pytest.raises(IndexError):
+        v[3]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.builds(Fraction, st.integers(-6, 6), st.integers(1, 12)), max_size=8)
+)
+def test_arc_vector_parse_round_trip(entries: list[Fraction]) -> None:
+    v = ArcVector(entries)
+    assert v.entries == tuple(entries)
+    assert v.support() == tuple(i for i, e in enumerate(entries) if e)
+    assert ArcVector.from_ints(v.dimension, v.den, v.items) == v
+    text = "".join(f"e {i} {e}\n" for i, e in enumerate(entries) if e)
+    assert parse_arc_vector(text, len(entries)) == v
+
+
 def test_arc_vector_parse_errors() -> None:
     with pytest.raises(ParseError, match="duplicate"):
         parse_arc_vector("e 0 1\ne 0 2\n", 2)
