@@ -5,8 +5,9 @@ vertices and extreme directions of the associated flow polyhedron from
 them, cross-checks both against a brute-force support-enumeration
 oracle, and carries a CNF-to-graph construction under which the vertex
 set collapses to a trivial family exactly on unsatisfiable inputs.
-Inputs and results are `fractions.Fraction`s; the vertex oracle and the
-cycle weights compute on integers inside. Nothing is floating point.
+Arc weights, cycle weights and parsed or printed values are
+`fractions.Fraction`s; the H-representations, the vertex oracle, the cycle
+sums and the arc vectors are integers inside. Nothing is floating point.
 """
 from .characterize import (
     CharacterizationReport,

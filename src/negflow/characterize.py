@@ -170,8 +170,8 @@ def verify_theorem1(
         oracle_vertex_set=oracle_v,
         formula_directions=formula_directions,
         oracle_direction_set=oracle_d,
-        negative_cycles=sum(1 for c in cycles if c.weight < 0),
-        zero_cycles=sum(1 for c in cycles if c.weight == 0),
-        positive_cycles=sum(1 for c in cycles if c.weight > 0),
+        negative_cycles=sum(1 for c in cycles if c.weight.numerator < 0),
+        zero_cycles=sum(1 for c in cycles if c.weight.numerator == 0),
+        positive_cycles=sum(1 for c in cycles if c.weight.numerator > 0),
         two_cycles=len(two_cycles),
     )

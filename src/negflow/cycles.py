@@ -42,8 +42,19 @@ class TwoCycle:
     negative: Cycle
     positive: Cycle
     shape: TwoCycleShape
-    mu: Fraction
-    mu_prime: Fraction
+
+    @property
+    def mu(self) -> Fraction:
+        """Coefficient of chi(C1) in the pair's direction: w(C2) / D, where
+        D = w(C2) |C1| - w(C1) |C2| > 0."""
+        c1, c2 = self.negative, self.positive
+        return c2.weight / (c2.weight * c1.length - c1.weight * c2.length)
+
+    @property
+    def mu_prime(self) -> Fraction:
+        """Coefficient of chi(C2) in the pair's direction: -w(C1) / D."""
+        c1, c2 = self.negative, self.positive
+        return -c1.weight / (c2.weight * c1.length - c1.weight * c2.length)
 
 
 @dataclass(frozen=True)
@@ -219,11 +230,7 @@ def is_two_cycle(g: WeightedDigraph, c1: Cycle, c2: Cycle) -> TwoCycle | None:
     if (nodes1 & nodes2).bit_count() - shared_arcs >= 2:
         return None
     shape = TwoCycleShape.THREE_PATH if shared_arcs else TwoCycleShape.EDGE_DISJOINT
-    # mu = w2 / D and mu' = -w1 / D with D = w2 |c1| - w1 |c2| > 0, taken
-    # over the integer weights.
-    (w1, w2), _ = _scaled((c1.weight, c2.weight))
-    denom = w2 * c1.length - w1 * c2.length
-    return TwoCycle(c1, c2, shape, Fraction(w2, denom), Fraction(-w1, denom))
+    return TwoCycle(c1, c2, shape)
 
 
 def enumerate_two_cycles(

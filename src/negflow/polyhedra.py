@@ -3,11 +3,12 @@
 The oracle walks the candidate supports depth first, deciding one arc at a
 time, and solves the equality system exactly; supports with a common prefix
 share its elimination. It never touches floating point and has no tolerance
-anywhere. Each equality is scaled to integers once per call, the walk and
-phase 1 run fraction-free elimination on ``int``, and each accepted vertex
-is read off as integer numerators over the last pivot. Walk nodes and
-elimination steps are charged against one work budget. The oracle is deliberately independent of the
-cycle-based characterization it is used to validate.
+anywhere. An H-representation holds integer rows, its weight row scaled
+once by the LCM of the weight denominators; the walk and phase 1 run
+fraction-free elimination on them, and each accepted vertex is read off as
+integer numerators over the last pivot. Walk nodes and elimination steps are
+charged against one work budget. The oracle is deliberately independent of
+the cycle-based characterization it is used to validate.
 """
 from __future__ import annotations
 
@@ -29,15 +30,18 @@ DEFAULT_ORACLE_CAP = 2**20
 
 @dataclass(frozen=True)
 class HRep:
-    """Equalities ``coeffs . y = rhs`` plus implicit ``y >= 0`` on all coords."""
+    """Integer equalities ``row[:-1] . y = row[-1]`` plus implicit ``y >= 0``
+    on all coords: ``dimension`` coefficients, then the right-hand side."""
 
     dimension: int
-    equalities: tuple[tuple[tuple[Fraction, ...], Fraction], ...]
+    rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        for coeffs, _ in self.equalities:
-            if len(coeffs) != self.dimension:
-                raise ValueError("equality row length does not match dimension")
+        for row in self.rows:
+            if len(row) != self.dimension + 1:
+                raise ValueError("row length does not match dimension + 1")
+            if not all(isinstance(v, int) for v in row):
+                raise ValueError("row entries must be int")
 
 
 @dataclass(frozen=True)
@@ -71,36 +75,28 @@ class _Budget:
 
 def build_P(g: WeightedDigraph) -> HRep:
     """Flow conservation at every node plus total weight = -1."""
+    weights, scale = _scaled([arc.weight for arc in g.arcs])
     rows = _flow_rows(g)
-    rows.append((tuple(arc.weight for arc in g.arcs), Fraction(-1)))
+    rows.append((*weights, -scale))
     return HRep(g.arc_count, tuple(rows))
 
 
 def build_P_prime(g: WeightedDigraph) -> HRep:
     """Flow conservation, total weight = 0, entries summing to 1."""
+    weights, _ = _scaled([arc.weight for arc in g.arcs])
     rows = _flow_rows(g)
-    rows.append((tuple(arc.weight for arc in g.arcs), Fraction(0)))
-    rows.append(((Fraction(1),) * g.arc_count, Fraction(1)))
+    rows.append((*weights, 0))
+    rows.append((1,) * (g.arc_count + 1))
     return HRep(g.arc_count, tuple(rows))
 
 
-def _flow_rows(g: WeightedDigraph) -> list[tuple[tuple[Fraction, ...], Fraction]]:
-    rows = []
-    for node in range(g.node_count):
-        coeffs = [Fraction(0)] * g.arc_count
-        for arc in g.arcs:
-            if arc.tail == node:
-                coeffs[arc.arc_id] += 1
-            if arc.head == node:
-                coeffs[arc.arc_id] -= 1
-        rows.append((tuple(coeffs), Fraction(0)))
-    return rows
-
-
-def _integer_rows(h: HRep) -> list[list[int]]:
-    """Each equality as ``coeffs + [rhs]`` over the integers: the row scaled
-    by the LCM of its denominators, which keeps its solutions and signs."""
-    return [_scaled((*coeffs, rhs))[0] for coeffs, rhs in h.equalities]
+def _flow_rows(g: WeightedDigraph) -> list[tuple[int, ...]]:
+    """Per node: +1 on out-arcs, -1 on in-arcs (a loop nets 0), rhs 0."""
+    rows = [[0] * (g.arc_count + 1) for _ in range(g.node_count)]
+    for arc in g.arcs:
+        rows[arc.tail][arc.arc_id] += 1
+        rows[arc.head][arc.arc_id] -= 1
+    return [tuple(row) for row in rows]
 
 
 def _pivot(matrix: list[list[int]], row: int, col: int, prev: int) -> int:
@@ -196,7 +192,7 @@ def oracle_vertices(h: HRep, cap: int = DEFAULT_ORACLE_CAP) -> VertexSet:
         raise ValueError("cap must be positive")
     m = h.dimension
     budget = _Budget("oracle work", cap)
-    rows = _integer_rows(h)
+    rows = list(h.rows)
     prune = _prune_rows(rows)
     everything = (1 << m) - 1
     points: list[ArcVector] = []
@@ -272,15 +268,15 @@ def is_feasible_point(h: HRep, y: ArcVector) -> FeasibilityResult:
     """Exact membership test with a report of violated constraints."""
     if len(y) != h.dimension:
         raise ValueError("vector dimension does not match H-representation")
-    entries = y.entries
     violations = []
-    for idx, (coeffs, rhs) in enumerate(h.equalities):
-        lhs = sum((c * v for c, v in zip(coeffs, entries)), Fraction(0))
-        if lhs != rhs:
-            violations.append(f"eq {idx}: lhs {lhs} != rhs {rhs}")
-    for i, v in enumerate(entries):
-        if v < 0:
-            violations.append(f"coordinate {i} is negative: {v}")
+    for idx, row in enumerate(h.rows):
+        lhs = sum(row[i] * n for i, n in y.items)
+        if lhs != row[-1] * y.den:
+            lhs = Fraction(lhs, y.den)
+            violations.append(f"eq {idx}: lhs {lhs} != rhs {row[-1]}")
+    for i, n in y.items:
+        if n < 0:
+            violations.append(f"coordinate {i} is negative: {Fraction(n, y.den)}")
     return FeasibilityResult(not violations, tuple(violations))
 
 
@@ -288,7 +284,7 @@ def oracle_certifies_vertex(h: HRep, y: ArcVector) -> bool:
     """The oracle's per-support accept test applied to a single point."""
     if not is_feasible_point(h, y).feasible:
         return False
-    return _support_point(_integer_rows(h), y.support(), h.dimension) == y
+    return _support_point(list(h.rows), y.support(), h.dimension) == y
 
 
 def _phase1_feasible(rows: Sequence[Sequence[int]], n: int) -> bool:

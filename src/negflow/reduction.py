@@ -51,14 +51,6 @@ class CnfFormula:
     def occurrence_count(self) -> int:
         return sum(len(c) for c in self.clauses)
 
-    @property
-    def has_unit_clause(self) -> bool:
-        """Direction-count bounds need clauses of two or more literals;
-        callers checking them should skip flagged formulas. This is not
-        sufficient: they also need at least two clauses, since a
-        single-clause reduction graph has no positive cycle."""
-        return any(len(c) == 1 for c in self.clauses)
-
 
 @dataclass(frozen=True)
 class Occurrence:

@@ -1,6 +1,11 @@
-"""Shared pytest hooks and fixtures: the criterion-1 graph corpus, and
-acceptance verdicts collected for a summary."""
+"""Shared pytest hooks and fixtures: the criterion-1 graph corpus, a
+counter of calls into fractions.py, and acceptance verdicts collected for a
+summary."""
 from __future__ import annotations
+
+import fractions
+import sys
+from collections import Counter
 
 import pytest
 
@@ -20,6 +25,31 @@ def graph_corpus() -> list[WeightedDigraph]:
     graphs.append(gen_fig1(TwoCycleShape.THREE_PATH))
     graphs.extend(gen_fig3(k) for k in (1, 2, 3))
     return graphs
+
+
+def _fraction_calls(fn):
+    """Run ``fn`` under a profile hook; count its calls into fractions.py
+    by function name."""
+    calls: Counter[str] = Counter()
+
+    def hook(frame, event, arg) -> None:
+        if event == "call" and frame.f_code.co_filename == fractions.__file__:
+            calls[frame.f_code.co_name] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        result = fn()
+    finally:
+        sys.setprofile(previous)
+    return result, calls
+
+
+@pytest.fixture
+def fraction_calls():
+    """``fraction_calls(fn)`` runs ``fn`` and returns its result with a
+    Counter of its calls into fractions.py by function name."""
+    return _fraction_calls
 
 
 def record_criterion(number: int, passed: bool, detail: str) -> None:

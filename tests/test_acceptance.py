@@ -210,7 +210,8 @@ def corpus_sweep(cnf_corpus: list[CnfFormula]) -> SweepTotals:
             totals.single_clause_rows.append(
                 (idx, len(positives), count, len(zeros), bound)
             )
-        elif not f.has_unit_clause:
+        elif not any(len(c) == 1 for c in f.clauses):
+            # The bound needs every clause to hold two or more literals.
             totals.bound_checked += 1
             ok, count, bound = _direction_count_meets_bound(
                 g, negatives, positives, zeros

@@ -4,9 +4,6 @@ The independent oracle here is a plain backtracking enumerator
 (`brute_cycles`), structurally unrelated to the blocked-search
 implementation under test; networkx cross-checks node cycles.
 """
-import fractions
-import sys
-from collections import Counter
 from fractions import Fraction
 from typing import Sequence
 
@@ -170,25 +167,7 @@ def test_enumeration_matches_backtracking_oracle(g: WeightedDigraph) -> None:
         assert c == make_cycle(g, c.arc_ids) == _reference_make_cycle(g, c.arc_ids)
 
 
-def _fraction_calls(fn):
-    """Run ``fn`` under a profile hook; count its calls into fractions.py
-    by function name."""
-    calls: Counter[str] = Counter()
-
-    def hook(frame, event, arg) -> None:
-        if event == "call" and frame.f_code.co_filename == fractions.__file__:
-            calls[frame.f_code.co_name] += 1
-
-    previous = sys.getprofile()
-    sys.setprofile(hook)
-    try:
-        result = fn()
-    finally:
-        sys.setprofile(previous)
-    return result, calls
-
-
-def test_enumeration_sums_weights_as_integers() -> None:
+def test_enumeration_sums_weights_as_integers(fraction_calls) -> None:
     g = gen_fig3(3)
     g = WeightedDigraph(
         g.node_count,
@@ -197,7 +176,7 @@ def test_enumeration_sums_weights_as_integers() -> None:
             for a in g.arcs
         ),
     )
-    cycles, calls = _fraction_calls(lambda: enumerate_cycles(g, 2**10))
+    cycles, calls = fraction_calls(lambda: enumerate_cycles(g, 2**10))
     assert len(cycles) == 27
     # No Fraction arithmetic: the weights are read once per graph, and each
     # cycle builds at most one Fraction from its integer sum.
@@ -206,7 +185,9 @@ def test_enumeration_sums_weights_as_integers() -> None:
     assert calls["numerator"] + calls["denominator"] <= 3 * g.arc_count
 
 
-def test_two_cycles_and_directions_use_no_fraction_arithmetic() -> None:
+def test_two_cycles_and_directions_use_no_fraction_arithmetic(
+    fraction_calls,
+) -> None:
     # Arc i's weight over 1 + i mod 3: 15 cycles (2 zero, 3 negative, 10
     # positive), 30 sign-mixed pairs, 13 of them 2-cycles.
     g = gen_random(6, 13, (-3, 3), 2)
@@ -219,19 +200,19 @@ def test_two_cycles_and_directions_use_no_fraction_arithmetic() -> None:
     )
     cycles = enumerate_cycles(g, 2**10)
     pairs = sum(c.weight < 0 for c in cycles) * sum(c.weight > 0 for c in cycles)
-    two_cycles, pair_calls = _fraction_calls(
+    two_cycles, pair_calls = fraction_calls(
         lambda: enumerate_two_cycles(g, cycles, 2**10)
     )
     assert (len(cycles), pairs, len(two_cycles)) == (15, 30, 13)
-    points, vector_calls = _fraction_calls(
+    points, vector_calls = fraction_calls(
         lambda: directions_from_cycles(g, cycles, two_cycles)
     )
     assert len(points.points) > 2
-    # Signs are read off numerators, and a 2-cycle's mu and mu' are one
-    # Fraction each, built from integer weights; vectors are integers only.
+    # Signs are read off numerators and a 2-cycle stores no mu or mu', so
+    # the pair tests build no Fraction; vectors are integers only.
     for calls in (pair_calls, vector_calls):
         assert set(calls) <= {"__new__", "numerator", "denominator"}
-    assert pair_calls["__new__"] <= 2 * len(two_cycles)
+    assert pair_calls["__new__"] == 0
     assert vector_calls["__new__"] == 0
     reads = ("numerator", "denominator")
     assert sum(pair_calls[r] for r in reads) <= 2 * len(cycles) + 8 * pairs
@@ -239,7 +220,7 @@ def test_two_cycles_and_directions_use_no_fraction_arithmetic() -> None:
     # A pair that is not a 2-cycle builds no Fraction at all.
     c1 = next(c for c in cycles if c.weight < 0)
     c2 = next(c for c in cycles if c.weight > 0 and is_two_cycle(g, c1, c) is None)
-    result, calls = _fraction_calls(lambda: is_two_cycle(g, c1, c2))
+    result, calls = fraction_calls(lambda: is_two_cycle(g, c1, c2))
     assert result is None
     assert set(calls) <= {"numerator"}
 

@@ -2,6 +2,7 @@
 support-enumeration oracle it replaced."""
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -9,12 +10,11 @@ from hypothesis import strategies as st
 
 from negflow.errors import CapExceeded, NegflowError
 from negflow.generators import gen_random
-from negflow.graph import Arc, ArcVector, WeightedDigraph, parse_graph
+from negflow.graph import Arc, ArcVector, WeightedDigraph, _scaled, parse_graph
 from negflow.polyhedra import (
     HRep,
     VertexSet,
     _include,
-    _integer_rows,
     _phase1_feasible,
     _prune_rows,
     _support_point,
@@ -36,35 +36,45 @@ def vec(*vals) -> ArcVector:
 def test_build_P_triangle_shape() -> None:
     h = build_P(TRIANGLE)
     assert h.dimension == 3
-    assert len(h.equalities) == 4
-    assert h.equalities[-1] == ((Fraction(-1), Fraction(-1), Fraction(-1)), Fraction(-1))
+    assert len(h.rows) == 4
+    assert h.rows[-1] == (-1, -1, -1, -1)
 
 
 def test_flow_rows_sum_to_zero() -> None:
     h = build_P(TRIANGLE)
-    flow = h.equalities[:-1]
-    for col in range(3):
-        assert sum(row[0][col] for row in flow) == 0
+    flow = h.rows[:-1]
+    for col in range(4):
+        assert sum(row[col] for row in flow) == 0
 
 
 def test_self_loop_has_zero_flow_row() -> None:
     g = parse_graph("p 1 1\na 1 1 -1\n")
     h = build_P(g)
-    assert h.equalities[0] == ((Fraction(0),), Fraction(0))
+    assert h.rows[0] == (0, 0)
     # the loop alone carries the weight constraint
     assert oracle_vertices(h, 100).points[0].entries == (1,)
 
 
 def test_build_P_prime_rows() -> None:
     h = build_P_prime(TRIANGLE)
-    assert len(h.equalities) == 5
-    assert h.equalities[-2][1] == 0
-    assert h.equalities[-1] == ((Fraction(1), Fraction(1), Fraction(1)), Fraction(1))
+    assert len(h.rows) == 5
+    assert h.rows[-2] == (-1, -1, -1, 0)
+    assert h.rows[-1] == (1, 1, 1, 1)
 
 
 def test_hrep_rejects_ragged_rows() -> None:
     with pytest.raises(ValueError):
-        HRep(2, (((Fraction(1),), Fraction(0)),))
+        HRep(2, ((1, 0),))
+    with pytest.raises(ValueError):
+        HRep(1, ((1, 0), (1, 0, 0)))
+
+
+def test_hrep_rejects_fraction_entries() -> None:
+    # The fraction-free pivot divides with `//`, which floors a Fraction.
+    with pytest.raises(ValueError):
+        HRep(1, ((Fraction(1, 2), 1),))
+    with pytest.raises(ValueError):
+        HRep(1, ((1, Fraction(1)),))
 
 
 def test_digon_unique_feasible_point() -> None:
@@ -269,7 +279,7 @@ def test_oracle_empty_flag_matches_vertex_existence(g: WeightedDigraph) -> None:
 
 def test_rational_weights_example() -> None:
     h = build_P(RATIONAL_WEIGHTS)
-    assert _integer_rows(h)[-1] == [4, -6, 9, -6, -12]
+    assert h.rows[-1] == (4, -6, 9, -6, -12)
     # The digon weighs -1/6, so its vertex is 6 * chi(digon).
     assert [p.entries for p in oracle_vertices(h, 2**8).points] == [(6, 0, 0, 6)]
     # mu * (-1/6) + mu' * 7/12 = 0 and 2 mu + 3 mu' = 1: mu' = 1/10, mu = 7/20.
@@ -277,6 +287,68 @@ def test_rational_weights_example() -> None:
     assert [p.entries for p in directions] == [
         (Fraction(9, 20), Fraction(1, 10), Fraction(1, 10), Fraction(7, 20))
     ]
+
+
+# The rational H-representation the integer builders replaced, kept as their
+# reference: every row over `Fraction`, flow rows from a scan of all arcs
+# per node, then each row scaled by the LCM of its own denominators.
+
+
+def _reference_rows(g: WeightedDigraph, prime: bool) -> tuple[tuple[int, ...], ...]:
+    rows = []
+    for node in range(g.node_count):
+        coeffs = [Fraction(0)] * g.arc_count
+        for arc in g.arcs:
+            if arc.tail == node:
+                coeffs[arc.arc_id] += 1
+            if arc.head == node:
+                coeffs[arc.arc_id] -= 1
+        rows.append((*coeffs, Fraction(0)))
+    weights = tuple(arc.weight for arc in g.arcs)
+    if prime:
+        rows.append((*weights, Fraction(0)))
+        rows.append((Fraction(1),) * (g.arc_count + 1))
+    else:
+        rows.append((*weights, Fraction(-1)))
+    out = []
+    for row in rows:
+        scale = lcm(*(v.denominator for v in row))
+        out.append(tuple(int(v * scale) for v in row))
+    return tuple(out)
+
+
+def _assert_rows_match_reference(g: WeightedDigraph) -> None:
+    assert build_P(g).rows == _reference_rows(g, prime=False)
+    assert build_P_prime(g).rows == _reference_rows(g, prime=True)
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs())
+@example(LOOPY_MULTIGRAPH)
+@example(RATIONAL_WEIGHTS)
+@example(WeightedDigraph(2, ()))
+def test_builders_match_rational_reference(g: WeightedDigraph) -> None:
+    _assert_rows_match_reference(g)
+
+
+def test_builders_match_rational_reference_on_corpus(
+    graph_corpus: list[WeightedDigraph],
+) -> None:
+    for g in graph_corpus:
+        _assert_rows_match_reference(g)
+
+
+def test_builders_and_oracle_use_no_fraction_arithmetic(fraction_calls) -> None:
+    # Each builder scales the weights once, at three reads per weight; rows,
+    # elimination and vertices are integers throughout.
+    def run() -> tuple[VertexSet, VertexSet]:
+        g = RATIONAL_WEIGHTS
+        return oracle_vertices(build_P(g), 2**8), oracle_vertices(build_P_prime(g), 2**8)
+
+    (vertices, directions), calls = fraction_calls(run)
+    assert (len(vertices.points), len(directions.points)) == (1, 1)
+    assert set(calls) <= {"numerator", "denominator"}
+    assert calls["numerator"] + calls["denominator"] <= 6 * RATIONAL_WEIGHTS.arc_count
 
 
 # The rational elimination the integer kernel replaced, kept as its
@@ -303,7 +375,9 @@ def _reference_solve(
     """Verdict, values on the support if unique, and (column, rows changed)
     for each column pivoted, in order."""
     width = len(support)
-    matrix = [[coeffs[c] for c in support] + [rhs] for coeffs, rhs in h.equalities]
+    matrix = [
+        [Fraction(row[c]) for c in support] + [Fraction(row[-1])] for row in h.rows
+    ]
     pivots: list[tuple[int, int]] = []
     row_at = 0
     for col in range(width):
@@ -327,12 +401,13 @@ def _reference_solve(
 
 def _reference_phase1(h: HRep) -> bool:
     n = h.dimension
-    rows = len(h.equalities)
+    rows = len(h.rows)
     if rows == 0:
         return True
     tableau: list[list[Fraction]] = []
-    for coeffs, rhs in h.equalities:
-        row = list(coeffs)
+    for *coeffs, rhs in h.rows:
+        row = [Fraction(c) for c in coeffs]
+        rhs = Fraction(rhs)
         if rhs < 0:
             row = [-c for c in row]
             rhs = -rhs
@@ -375,18 +450,13 @@ def hreps(draw: st.DrawFn) -> HRep:
             max_size=5,
         )
     )
-    return HRep(n, tuple((tuple(coeffs), rhs) for coeffs, rhs in rows))
+    # Each rational row times the LCM of its denominators: same solutions.
+    return HRep(n, tuple(tuple(_scaled((*coeffs, rhs))[0]) for coeffs, rhs in rows))
 
 
 # Row 1 has a zero in the first pivot column and holds the second pivot:
 # the solve is exact only if the first step scaled that row by p/d.
-ZERO_THEN_PIVOT = HRep(
-    2,
-    tuple(
-        (tuple(map(Fraction, coeffs)), Fraction(rhs))
-        for coeffs, rhs in (((2, 0), 2), ((0, 1), 1), ((1, 1), 2))
-    ),
-)
+ZERO_THEN_PIVOT = HRep(2, ((2, 0, 2), (0, 1, 1), (1, 1, 2)))
 
 
 @st.composite
@@ -407,7 +477,7 @@ def test_support_solve_matches_fraction_reference(
     # skips it and goes on; up to there both pivot the same rows.
     h, support = case
     status, expected, expected_pivots = _reference_solve(h, support)
-    rows = _integer_rows(h)
+    rows = list(h.rows)
     m = h.dimension
     matrix, prev = rows, 1
     pivots = []
@@ -440,7 +510,7 @@ def test_support_solve_matches_fraction_reference(
 @example(build_P(RATIONAL_WEIGHTS))
 @example(build_P_prime(RATIONAL_WEIGHTS))
 def test_phase1_matches_fraction_reference(h: HRep) -> None:
-    assert _phase1_feasible(_integer_rows(h), h.dimension) == _reference_phase1(h)
+    assert _phase1_feasible(list(h.rows), h.dimension) == _reference_phase1(h)
 
 
 # The support-enumeration oracle the depth-first walk replaced, kept as its
@@ -466,7 +536,7 @@ def _support_is_plausible(s: int, prune_rows: list[tuple[int, int, int]]) -> boo
 
 def _reference_oracle_vertices(h: HRep) -> VertexSet:
     m = h.dimension
-    rows = _integer_rows(h)
+    rows = list(h.rows)
     prune = _prune_rows(rows)
     points: list[ArcVector] = []
     for s in range(2**m):

@@ -127,8 +127,6 @@ def test_formula_validation() -> None:
 
 
 def test_unit_clause_flag() -> None:
-    assert CnfFormula(2, ((1,), (1, 2))).has_unit_clause
-    assert not CnfFormula(2, ((1, 2), (-1, -2))).has_unit_clause
     # unit clauses still build: one occurrence, 6 arcs, plus closing arc
     art = build_reduction(CnfFormula(1, ((1,),)))
     assert art.graph.arc_count == 6 + 1 + len(art.degenerate_chain_arcs)
