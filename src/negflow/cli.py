@@ -42,12 +42,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_cycle_cap(p: argparse.ArgumentParser) -> None:
+    def add_cycle_cap(
+        p: argparse.ArgumentParser, unit: str = "cycle enumeration cap"
+    ) -> None:
         p.add_argument(
             "--max-cycles",
             type=int,
             default=DEFAULT_CYCLE_CAP,
-            help=f"cycle enumeration cap (default {DEFAULT_CYCLE_CAP})",
+            help=f"{unit} (default {DEFAULT_CYCLE_CAP})",
         )
 
     def add_oracle_cap(p: argparse.ArgumentParser) -> None:
@@ -97,7 +99,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decide", help="trivial family vs. vertex set, plus SAT")
     p.add_argument("cnf", type=Path)
-    add_cycle_cap(p)
+    add_cycle_cap(p, "long-cycle search cap: one unit per search node")
 
     p = sub.add_parser("gen", help="emit a built-in instance family")
     gen_sub = p.add_subparsers(dest="family", required=True)

@@ -75,11 +75,6 @@ def make_cycle(g: WeightedDigraph, arc_seq: Sequence[int]) -> Cycle:
     return Cycle(_canonical(arc_seq), Fraction(sum(ints), scale))
 
 
-def cycle_nodes(g: WeightedDigraph, cycle: Cycle) -> tuple[int, ...]:
-    """Nodes visited by a cycle, sorted."""
-    return tuple(sorted(g.arcs[i].tail for i in cycle.arc_ids))
-
-
 def _unblock(node: int, blocked: set[int], blocked_by: dict[int, set[int]]) -> None:
     pending = {node}
     while pending:

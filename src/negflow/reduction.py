@@ -6,15 +6,17 @@ occurrence. A simple cycle through every connector exists exactly when
 hiding assignments line up: it has weight -1, lies outside the trivial
 family, and the variable chains it takes give a satisfying assignment. So
 `decide_ve01` decides satisfiability by searching for that certificate, not
-by trying assignments.
+by trying assignments. The search builds only paths that pass the
+connectors in order; when it runs out, no such cycle exists and the vertex
+set is exactly the trivial family.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .characterize import _bool, vertex_from_cycle
-from .cycles import Cycle, _canonical, _iter_arc_cycles, cycle_nodes
+from .characterize import _bool
+from .cycles import Cycle, _canonical
 from .errors import CapExceeded, NegflowError, ParseError
 from .graph import (
     Arc,
@@ -284,13 +286,13 @@ def brute_force_sat(f: CnfFormula) -> tuple[bool, dict[int, bool] | None]:
 
 @dataclass(frozen=True)
 class Ve01Report:
-    """The verdict with what the walk showed of the vertex set.
+    """The verdict with what the search showed of the vertex set.
 
     On a satisfiable formula ``certificate`` is the long cycle that ended
-    the walk early; the full vertex set is then not known, so ``vertices``,
+    the search; the full vertex set is then not known, so ``vertices``,
     ``extra_vertices`` and ``extra_are_long_cycles`` are None and print as
-    ``unknown``. On an unsatisfiable one the walk was exhaustive and
-    ``certificate`` is None.
+    ``unknown``. On an unsatisfiable one the search was exhaustive, so the
+    vertices are exactly the trivial family, and ``certificate`` is None.
     """
 
     artifact: ReductionArtifact
@@ -340,61 +342,119 @@ class Ve01Report:
 def decide_ve01(f: CnfFormula, cap: int) -> Ve01Report:
     """Decide satisfiability by a long-cycle certificate.
 
-    One Johnson walk streams the cycles of the reduction graph, weighed as
-    ``int`` sums over the common denominator. The first negative cycle that
-    takes the closing arc and passes every connector ends the walk: it must
+    A depth-first search builds only the cycles that can be negative and
+    outside the digon family: they take the closing arc and visit the
+    connectors in order (see `_long_cycle`). The first one it completes must
     weigh -1, and the witness decoded from it must satisfy every clause, or
-    NegflowError is raised. A walk that ends without one proves the formula
-    unsatisfiable; the report then compares the trivial family with the full
-    vertex set on canonical arc-id tuples (distinct cycles give distinct
-    vertices; each trivial vertex is its occurrence's digon
-    ``(a_b, b_a)``). Raises CapExceeded, with the walk's progress, as soon as
-    more than ``cap`` cycles are walked.
+    NegflowError is raised. An exhausted search proves the formula
+    unsatisfiable, and then the vertex set is exactly the trivial family, so
+    the report is read off that family. Raises CapExceeded, with the
+    number of nodes searched, as soon as more than ``cap`` search nodes are
+    entered.
     """
     if cap < 1:
         raise ValueError("cap must be positive")
     art = build_reduction(f)
-    g = art.graph
-    ints, scale = _scaled([arc.weight for arc in g.arcs])
-    required = set(art.connectors)
-    negative: list[Cycle] = []
-    for walked, seq in enumerate(_iter_arc_cycles(g), start=1):
-        if walked > cap:
-            raise CapExceeded(
-                "cycles",
-                cap,
-                f"graph has more than {cap} cycles; walked {cap} cycles, "
-                f"kept {len(negative)} negative, none long",
-            )
-        total = sum([ints[i] for i in seq])
-        if total >= 0:
-            continue
-        weight = Fraction(total, scale)
-        if art.closing_arc in seq and required <= {g.arcs[i].tail for i in seq}:
-            return _certified_report(art, seq, weight)
-        negative.append(Cycle(_canonical(seq), weight))
-    trivial_ids = {(occ.a_b, occ.b_a) for occ in art.occurrences}
-    cycle_ids = {c.arc_ids for c in negative}
-    # Distinct cycles have distinct supports, so distinct vertices.
-    cycle_of = {vertex_from_cycle(g, c): c for c in negative}
-    ranked = sorted_points(cycle_of)
-    extra = [p for p in ranked if cycle_of[p].arc_ids not in trivial_ids]
-    extra_long = all(
-        c.weight == -1 and required <= set(cycle_nodes(g, c))
-        for c in (cycle_of[p] for p in extra)
-    )
+    seq = _long_cycle(art, cap)
+    if seq is not None:
+        ints, scale = _scaled([art.graph.arcs[i].weight for i in seq])
+        return _certified_report(art, seq, Fraction(sum(ints), scale))
+    family = trivial_vertex_family(art)
     return Ve01Report(
         artifact=art,
-        trivial_family=trivial_vertex_family(art),
-        vertices=ranked,
-        trivial_is_subset=trivial_ids <= cycle_ids,
-        trivial_equals_vertices=trivial_ids == cycle_ids,
-        extra_vertices=tuple(extra),
-        extra_are_long_cycles=extra_long,
+        trivial_family=family,
+        vertices=sorted_points(family),
+        trivial_is_subset=True,
+        trivial_equals_vertices=True,
+        extra_vertices=(),
+        extra_are_long_cycles=True,
         satisfiable=False,
         witness=None,
         certificate=None,
     )
+
+
+def _long_cycle(art: ReductionArtifact, cap: int) -> tuple[int, ...] | None:
+    """Arc ids of the first negative cycle outside the digon family, in
+    traversal order from v0, or None when there is none.
+
+    Only the closing arc and the a-node arcs weigh anything, and each
+    a-node is passed p-a-b (net 0), b-a-s (0), p-a-s (+1) or b-a-b (-1,
+    its digon). So such a cycle takes the closing arc, makes no p-a-s
+    pass and weighs -1; it then visits v0 .. vn, v'1 .. v'm in order.
+    The search builds those paths one segment c_k -> c_{k+1} at a time,
+    trying out-arcs in id order. A segment enters no path node and no
+    connector but c_{k+1}. On reaching c_{k+1}, a breadth-first check
+    that every later segment still has such a path cuts the branch early,
+    as soon as some clause has all its occurrences on the path.
+    """
+    g = art.graph
+    connectors = art.connectors
+    last = len(connectors) - 1
+    if last == 0:
+        return (art.closing_arc,)
+    on_path = [False] * g.node_count
+    is_connector = [False] * g.node_count
+    for c in connectors:
+        is_connector[c] = True
+    on_path[connectors[0]] = True
+    no_exit = {occ.p_a: occ.a_s for occ in art.occurrences}
+
+    # Ignores the p-a-s rule, so it is a relaxation and cuts no branch that
+    # could still complete.
+    def later_segments_open(k: int) -> bool:
+        for src, dst in zip(connectors[k:last], connectors[k + 1 :]):
+            seen = {src}
+            frontier = [src]
+            while frontier and dst not in seen:
+                nxt = []
+                for v in frontier:
+                    for arc in g.out_arcs[v]:
+                        w = arc.head
+                        if w in seen or on_path[w] or (is_connector[w] and w != dst):
+                            continue
+                        seen.add(w)
+                        nxt.append(w)
+                frontier = nxt
+            if dst not in seen:
+                return False
+        return True
+
+    arcs: list[int] = []
+    # One frame per path node: its segment index and its out-arc iterator.
+    frames = [(0, iter(g.out_arcs[connectors[0]]))]
+    searched = 0
+    while frames:
+        k, out = frames[-1]
+        target = connectors[k + 1]
+        for arc in out:
+            w = arc.head
+            if on_path[w] or (is_connector[w] and w != target):
+                continue
+            if arcs and no_exit.get(arcs[-1]) == arc.arc_id:
+                continue
+            searched += 1
+            if searched > cap:
+                raise CapExceeded(
+                    "search nodes",
+                    cap,
+                    f"searched {cap} nodes, no long cycle completed",
+                )
+            segment = k + 1 if w == target else k
+            if segment == last:
+                return (*arcs, arc.arc_id, art.closing_arc)
+            on_path[w] = True
+            if segment > k and not later_segments_open(segment):
+                on_path[w] = False
+                continue
+            frames.append((segment, iter(g.out_arcs[w])))
+            arcs.append(arc.arc_id)
+            break
+        else:
+            frames.pop()
+            if arcs:
+                on_path[g.arcs[arcs.pop()].head] = False
+    return None
 
 
 def _certified_report(

@@ -23,14 +23,13 @@ from negflow.characterize import (
 )
 from negflow.cycles import (
     Cycle,
-    cycle_nodes,
     decompose_circulation,
     enumerate_cycles,
     enumerate_two_cycles,
     is_two_cycle,
 )
 from negflow.generators import Lcg, gen_fig3
-from negflow.graph import ArcVector, WeightedDigraph
+from negflow.graph import ArcVector, WeightedDigraph, sorted_points
 from negflow.polyhedra import (
     build_P,
     build_P_prime,
@@ -41,6 +40,7 @@ from negflow.reduction import (
     CnfFormula,
     brute_force_sat,
     build_reduction,
+    decide_ve01,
     parse_dimacs_cnf,
     trivial_vertex_family,
 )
@@ -113,6 +113,7 @@ class SweepTotals:
     family_failures: list[int] = field(default_factory=list)
     equivalence_failures: list[int] = field(default_factory=list)
     long_cycle_failures: list[int] = field(default_factory=list)
+    decide_failures: list[int] = field(default_factory=list)
     bound_checked: int = 0
     direction_bound_failures: list[tuple[int, int, int]] = field(
         default_factory=list
@@ -194,12 +195,19 @@ def corpus_sweep(cnf_corpus: list[CnfFormula]) -> SweepTotals:
         satisfiable, _ = brute_force_sat(f)
         if (vertices == family) != (not satisfiable):
             totals.equivalence_failures.append(idx)
+        # The long-cycle search against brute force, and its reckoned UNSAT
+        # vertex set against this enumeration's.
+        report = decide_ve01(f, CYCLE_CAP)
+        if report.satisfiable != satisfiable or (
+            not satisfiable and report.vertices != sorted_points(vertices)
+        ):
+            totals.decide_failures.append(idx)
         connectors = set(art.connectors)
         for v in vertices - family:
             cycle = vertex_of[v]
-            if cycle.weight != -1 or not connectors <= set(
-                cycle_nodes(g, cycle)
-            ):
+            if cycle.weight != -1 or not connectors <= {
+                g.arcs[i].tail for i in cycle.arc_ids
+            }:
                 totals.long_cycle_failures.append(idx)
                 break
 
@@ -305,7 +313,9 @@ def test_criterion_3_zero_one_vertices(corpus_sweep: SweepTotals) -> None:
 
 def test_criterion_4_reduction_soundness(corpus_sweep: SweepTotals) -> None:
     ok = not (
-        corpus_sweep.equivalence_failures or corpus_sweep.long_cycle_failures
+        corpus_sweep.equivalence_failures
+        or corpus_sweep.long_cycle_failures
+        or corpus_sweep.decide_failures
     )
     record_criterion(
         4,
@@ -313,10 +323,13 @@ def test_criterion_4_reduction_soundness(corpus_sweep: SweepTotals) -> None:
         f"{corpus_sweep.formulas} corpus CNFs: extra vertices exist iff "
         f"satisfiable ({len(corpus_sweep.equivalence_failures)} failures), "
         f"every extra vertex is a weight -1 all-connector cycle "
-        f"({len(corpus_sweep.long_cycle_failures)} failures)",
+        f"({len(corpus_sweep.long_cycle_failures)} failures), decide's "
+        f"verdict and UNSAT vertex set match "
+        f"({len(corpus_sweep.decide_failures)} failures)",
     )
     assert corpus_sweep.equivalence_failures == []
     assert corpus_sweep.long_cycle_failures == []
+    assert corpus_sweep.decide_failures == []
 
 
 def test_criterion_5_fig3_counts() -> None:

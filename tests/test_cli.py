@@ -178,10 +178,12 @@ def test_decide_unsatisfiable(tmp_path: Path, capsys: pytest.CaptureFixture[str]
 @pytest.mark.parametrize(
     "variables, clauses",
     [
-        # One 25-literal clause, and 30 variables in 15 clauses: both beyond
-        # brute force's 24 variables, both answered at the first long cycle.
+        # One 25-literal clause, 30 variables in 15 clauses, and the
+        # 30-variable implication chain: all beyond brute force's 24
+        # variables, all answered under the default cap.
         (25, [list(range(1, 26))]),
         (30, [[2 * k + 1, -(2 * k + 2)] for k in range(15)]),
+        (30, [[-i, i + 1] for i in range(1, 30)]),
     ],
 )
 def test_decide_beyond_brute_force_limit(
@@ -210,15 +212,21 @@ def test_decide_beyond_brute_force_limit(
 def test_decide_capped_before_long_cycle_prints_no_verdict(
     tmp_path: Path, capsys: pytest.CaptureFixture[str]
 ) -> None:
-    # Satisfiable, but the walk meets its first long cycle only after 53
-    # other cycles.
+    # Satisfiable, but the search completes its first long cycle only at
+    # its 39th node.
     cnf = tmp_path / "sat.cnf"
     cnf.write_text("p cnf 2 3\n1 2 0\n-1 2 0\n1 -2 0\n")
     assert main(["decide", str(cnf), "--max-cycles", "10"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "cycles cap 10 exceeded" in captured.err
-    assert "walked 10 cycles, kept 0 negative, none long" in captured.err
+    assert captured.err == (
+        "error: search nodes cap 10 exceeded (searched 10 nodes, no long "
+        "cycle completed); raise --max-cycles\n"
+    )
+    assert main(["decide", str(cnf), "--max-cycles", "38"]) == 3
+    capsys.readouterr()
+    assert main(["decide", str(cnf), "--max-cycles", "39"]) == 0
+    assert "satisfiable: true\n" in capsys.readouterr().out
     assert main(["decide", str(cnf)]) == 0
     assert "satisfiable: true\n" in capsys.readouterr().out
 

@@ -8,14 +8,17 @@ zero-weight arc instead.
 """
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from negflow.characterize import vertex_from_cycle, vertices_from_negative_cycles
-from negflow.cycles import cycle_nodes, enumerate_cycles
+from negflow.cli import main
+from negflow.cycles import enumerate_cycles
 from negflow.errors import ParseError
+from negflow.graph import sorted_points
 from negflow.polyhedra import build_P, is_feasible_point, oracle_certifies_vertex
 from negflow.reduction import (
     CnfFormula,
@@ -47,7 +50,7 @@ def assert_certificate(report: Ve01Report) -> None:
     assert report.satisfiable and cert is not None
     assert cert.weight == -1
     assert art.closing_arc in cert.arc_ids
-    assert set(art.connectors) <= set(cycle_nodes(art.graph, cert))
+    assert set(art.connectors) <= {art.graph.arcs[i].tail for i in cert.arc_ids}
     assert cert.arc_ids not in {(o.a_b, o.b_a) for o in art.occurrences}
     assert not report.trivial_equals_vertices
     f = art.formula
@@ -291,6 +294,55 @@ def test_decide_sat_formula_has_long_cycle_witnesses() -> None:
     assert_certificate(report)
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "p cnf 1 1\n1 1 0\n",
+        "p cnf 2 2\n1 1 0\n2 -1 0\n",
+    ],
+)
+def test_decide_never_passes_p_a_s(text: str, tmp_path: Path) -> None:
+    # A repeated literal lets a clause path jump into the chain it shares
+    # and leave through a later occurrence's a-node, p->a->s, a +1 pass that
+    # closes a weight-0 cycle through every connector. The search must not
+    # take it, or the certificate check fails and the CLI exits 1.
+    assert_certificate(decide_ve01(parse_dimacs_cnf(text), 2**16))
+    cnf = tmp_path / "repeated.cnf"
+    cnf.write_text(text)
+    assert main(["decide", str(cnf)]) == 0
+
+
+def test_decide_pigeonhole_reckons_unsat_report() -> None:
+    # Five pigeons, four holes: UNSAT by counting, so its 2^20 assignments
+    # need no brute force. The report is the digon family's, one vertex per
+    # occurrence.
+    def var(pigeon: int, hole: int) -> int:
+        return 4 * pigeon + hole + 1
+
+    clauses = [tuple(var(p, h) for h in range(4)) for p in range(5)]
+    clauses += [
+        (-var(p, h), -var(q, h))
+        for h in range(4)
+        for p in range(5)
+        for q in range(p + 1, 5)
+    ]
+    f = CnfFormula(20, tuple(clauses))
+    report = decide_ve01(f, 2**16)
+    assert f.occurrence_count == 100
+    assert report.vertices == sorted_points(report.trivial_family)
+    text = report.to_text()
+    for line in (
+        "vertex_count: 100",
+        "trivial_is_subset: true",
+        "trivial_equals_vertices: true",
+        "extra_vertices: 0",
+        "extra_are_long_cycles: true",
+        "satisfiable: false",
+        "witness: -",
+    ):
+        assert f"{line}\n" in text
+
+
 def test_decide_single_clause_consistency() -> None:
     report = decide_ve01(parse_dimacs_cnf("p cnf 2 1\n1 2 0\n"), 2**16)
     assert report.satisfiable == (not report.trivial_equals_vertices)
@@ -340,6 +392,7 @@ def cnf_formulas(n: int) -> st.SearchStrategy[CnfFormula]:
 @example(CnfFormula(0, ()))
 @example(CnfFormula(3, ()))
 @example(CnfFormula(3, ((2,),)))
+@example(CnfFormula(1, ((1, 1),)))
 def test_decide_certificate_matches_brute_force(f: CnfFormula) -> None:
     # Clauses may repeat a literal or hold both polarities, and a variable
     # may occur in one polarity or none (degenerate chains).
