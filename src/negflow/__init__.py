@@ -52,7 +52,6 @@ from .polyhedra import (
     VertexSet,
     build_P,
     build_P_prime,
-    is_feasible_point,
     oracle_certifies_vertex,
     oracle_vertices,
 )
@@ -109,7 +108,6 @@ __all__ = [
     "gen_fig1",
     "gen_fig3",
     "gen_random",
-    "is_feasible_point",
     "is_two_cycle",
     "oracle_certifies_vertex",
     "oracle_vertices",

@@ -156,9 +156,6 @@ class ArcVector:
     def __len__(self) -> int:
         return self.dimension
 
-    def __getitem__(self, arc_id: int) -> Fraction:
-        return self.entries[arc_id]
-
     def support(self) -> tuple[int, ...]:
         return tuple(i for i, _ in self.items)
 

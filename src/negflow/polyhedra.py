@@ -13,7 +13,6 @@ the cycle-based characterization it is used to validate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .errors import CapExceeded, NegflowError
@@ -51,12 +50,6 @@ class VertexSet:
 
     points: tuple[ArcVector, ...]
     polyhedron_empty: bool | None = None
-
-
-@dataclass(frozen=True)
-class FeasibilityResult:
-    feasible: bool
-    violations: tuple[str, ...]
 
 
 class _Budget:
@@ -264,26 +257,13 @@ def _support_point(
     return _leaf_point(matrix, chosen, len(support), prev, m)
 
 
-def is_feasible_point(h: HRep, y: ArcVector) -> FeasibilityResult:
-    """Exact membership test with a report of violated constraints."""
+def oracle_certifies_vertex(h: HRep, y: ArcVector) -> bool:
+    """The oracle's per-support accept test applied to a single point.
+
+    A point the test returns solves every row exactly and is strictly
+    positive on its support, so equality with it also proves feasibility."""
     if len(y) != h.dimension:
         raise ValueError("vector dimension does not match H-representation")
-    violations = []
-    for idx, row in enumerate(h.rows):
-        lhs = sum(row[i] * n for i, n in y.items)
-        if lhs != row[-1] * y.den:
-            lhs = Fraction(lhs, y.den)
-            violations.append(f"eq {idx}: lhs {lhs} != rhs {row[-1]}")
-    for i, n in y.items:
-        if n < 0:
-            violations.append(f"coordinate {i} is negative: {Fraction(n, y.den)}")
-    return FeasibilityResult(not violations, tuple(violations))
-
-
-def oracle_certifies_vertex(h: HRep, y: ArcVector) -> bool:
-    """The oracle's per-support accept test applied to a single point."""
-    if not is_feasible_point(h, y).feasible:
-        return False
     return _support_point(list(h.rows), y.support(), h.dimension) == y
 
 

@@ -16,16 +16,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .characterize import _bool
-from .cycles import Cycle, _canonical
+from .cycles import Cycle, make_cycle
 from .errors import CapExceeded, NegflowError, ParseError
-from .graph import (
-    Arc,
-    ArcVector,
-    WeightedDigraph,
-    _scaled,
-    characteristic_vector,
-    sorted_points,
-)
+from .graph import Arc, ArcVector, WeightedDigraph, characteristic_vector
 
 MAX_SAT_VARIABLES = 24
 
@@ -286,55 +279,57 @@ def brute_force_sat(f: CnfFormula) -> tuple[bool, dict[int, bool] | None]:
 
 @dataclass(frozen=True)
 class Ve01Report:
-    """The verdict with what the search showed of the vertex set.
+    """The verdict, as the search's certificate and the witness read off it.
 
     On a satisfiable formula ``certificate`` is the long cycle that ended
-    the search; the full vertex set is then not known, so ``vertices``,
-    ``extra_vertices`` and ``extra_are_long_cycles`` are None and print as
-    ``unknown``. On an unsatisfiable one the search was exhaustive, so the
-    vertices are exactly the trivial family, and ``certificate`` is None.
+    the search and ``witness`` the assignment it encodes; the full vertex
+    set is then not known, so ``vertex_count``, ``extra_vertices`` and
+    ``extra_are_long_cycles`` print as ``unknown``. On an unsatisfiable one
+    both are None: the search was exhaustive, so the vertices are exactly
+    the trivial family. Every printed line is worked out from these fields.
     """
 
     artifact: ReductionArtifact
-    trivial_family: tuple[ArcVector, ...]
-    vertices: tuple[ArcVector, ...] | None
-    trivial_is_subset: bool
-    trivial_equals_vertices: bool
-    extra_vertices: tuple[ArcVector, ...] | None
-    extra_are_long_cycles: bool | None
-    satisfiable: bool
-    witness: dict[int, bool] | None
     certificate: Cycle | None
+    witness: dict[int, bool] | None
+
+    @property
+    def satisfiable(self) -> bool:
+        return self.certificate is not None
 
     def to_text(self) -> str:
-        g = self.artifact.graph
-        witness = (
-            " ".join(
-                f"x{var}={int(val)}" for var, val in sorted(self.witness.items())
-            )
-            if self.witness
-            else "-"
+        art = self.artifact
+        g = art.graph
+        family_size = len(art.occurrences)
+        # Each occurrence's digon is a negative cycle, so its 0/1 vector is
+        # a vertex.
+        trivial_is_subset = all(
+            g.arcs[occ.a_b].head == g.arcs[occ.b_a].tail
+            and g.arcs[occ.b_a].head == g.arcs[occ.a_b].tail
+            and g.arcs[occ.a_b].weight + g.arcs[occ.b_a].weight < 0
+            for occ in art.occurrences
         )
-        vertex_count = "unknown" if self.vertices is None else len(self.vertices)
-        extra = "unknown" if self.extra_vertices is None else len(self.extra_vertices)
-        extra_long = (
-            "unknown"
-            if self.extra_are_long_cycles is None
-            else _bool(self.extra_are_long_cycles)
+        witness = " ".join(
+            f"x{var}={int(val)}" for var, val in sorted((self.witness or {}).items())
         )
+        if self.satisfiable:
+            vertex_count = extra = extra_long = "unknown"
+        else:
+            vertex_count, extra, extra_long = family_size, 0, "true"
         lines = [
             f"nodes: {g.node_count}",
             f"arcs: {g.arc_count}",
-            f"occurrences: {self.artifact.formula.occurrence_count}",
-            f"degenerate_chains: {len(self.artifact.degenerate_chain_arcs)}",
-            f"trivial_family_size: {len(self.trivial_family)}",
+            f"occurrences: {art.formula.occurrence_count}",
+            f"degenerate_chains: {len(art.degenerate_chain_arcs)}",
+            f"trivial_family_size: {family_size}",
             f"vertex_count: {vertex_count}",
-            f"trivial_is_subset: {_bool(self.trivial_is_subset)}",
-            f"trivial_equals_vertices: {_bool(self.trivial_equals_vertices)}",
+            f"trivial_is_subset: {_bool(trivial_is_subset)}",
+            # The certificate is a negative cycle outside the digon family.
+            f"trivial_equals_vertices: {_bool(not self.satisfiable)}",
             f"extra_vertices: {extra}",
             f"extra_are_long_cycles: {extra_long}",
             f"satisfiable: {_bool(self.satisfiable)}",
-            f"witness: {witness}",
+            f"witness: {witness or '-'}",
         ]
         return "\n".join(lines) + "\n"
 
@@ -344,34 +339,38 @@ def decide_ve01(f: CnfFormula, cap: int) -> Ve01Report:
 
     A depth-first search builds only the cycles that can be negative and
     outside the digon family: they take the closing arc and visit the
-    connectors in order (see `_long_cycle`). The first one it completes must
-    weigh -1, and the witness decoded from it must satisfy every clause, or
-    NegflowError is raised. An exhausted search proves the formula
-    unsatisfiable, and then the vertex set is exactly the trivial family, so
-    the report is read off that family. Raises CapExceeded, with the
-    number of nodes searched, as soon as more than ``cap`` search nodes are
-    entered.
+    connectors in order (see `_long_cycle`). The first one it completes is
+    the certificate. It must weigh -1, and the witness decoded from it must
+    satisfy every clause, or NegflowError is raised. An exhausted search
+    proves the formula unsatisfiable, and the report then has neither.
+    Raises CapExceeded, with the number of nodes searched, as soon as more
+    than ``cap`` search nodes are entered.
     """
     if cap < 1:
         raise ValueError("cap must be positive")
     art = build_reduction(f)
     seq = _long_cycle(art, cap)
-    if seq is not None:
-        ints, scale = _scaled([art.graph.arcs[i].weight for i in seq])
-        return _certified_report(art, seq, Fraction(sum(ints), scale))
-    family = trivial_vertex_family(art)
-    return Ve01Report(
-        artifact=art,
-        trivial_family=family,
-        vertices=sorted_points(family),
-        trivial_is_subset=True,
-        trivial_equals_vertices=True,
-        extra_vertices=(),
-        extra_are_long_cycles=True,
-        satisfiable=False,
-        witness=None,
-        certificate=None,
-    )
+    if seq is None:
+        return Ve01Report(art, None, None)
+    certificate = make_cycle(art.graph, seq)
+    if certificate.weight != -1:
+        raise NegflowError(
+            f"long cycle {certificate.arc_ids} weighs {certificate.weight}, not -1"
+        )
+    arcs = set(seq)
+    # The chain a long cycle takes from v_{i-1} to v_i passes the a/b nodes
+    # of that literal's occurrences, hiding them from the clause paths, so
+    # the literal is false: x_i is true iff the negated chain is taken.
+    witness = {
+        var: neg in arcs for var, (_, neg) in enumerate(art.chain_starts, start=1)
+    }
+    for j, clause in enumerate(art.formula.clauses):
+        if not any(witness[abs(lit)] == (lit > 0) for lit in clause):
+            raise NegflowError(
+                f"witness decoded from long cycle {certificate.arc_ids} "
+                f"falsifies clause {j + 1}"
+            )
+    return Ve01Report(art, certificate, witness)
 
 
 def _long_cycle(art: ReductionArtifact, cap: int) -> tuple[int, ...] | None:
@@ -455,47 +454,3 @@ def _long_cycle(art: ReductionArtifact, cap: int) -> tuple[int, ...] | None:
             if arcs:
                 on_path[g.arcs[arcs.pop()].head] = False
     return None
-
-
-def _certified_report(
-    art: ReductionArtifact, seq: tuple[int, ...], weight: Fraction
-) -> Ve01Report:
-    """The SAT report read off a long cycle, its witness checked clause by
-    clause."""
-    certificate = Cycle(_canonical(seq), weight)
-    if weight != -1:
-        raise NegflowError(
-            f"long cycle {certificate.arc_ids} weighs {weight}, not -1"
-        )
-    arcs = set(seq)
-    # The chain a long cycle takes from v_{i-1} to v_i passes the a/b nodes
-    # of that literal's occurrences, hiding them from the clause paths, so
-    # the literal is false: x_i is true iff the negated chain is taken.
-    witness = {
-        var: neg in arcs for var, (_, neg) in enumerate(art.chain_starts, start=1)
-    }
-    for j, clause in enumerate(art.formula.clauses):
-        if not any(witness[abs(lit)] == (lit > 0) for lit in clause):
-            raise NegflowError(
-                f"witness decoded from long cycle {certificate.arc_ids} "
-                f"falsifies clause {j + 1}"
-            )
-    g = art.graph
-    return Ve01Report(
-        artifact=art,
-        trivial_family=trivial_vertex_family(art),
-        vertices=None,
-        trivial_is_subset=all(
-            g.arcs[occ.a_b].head == g.arcs[occ.b_a].tail
-            and g.arcs[occ.b_a].head == g.arcs[occ.a_b].tail
-            and g.arcs[occ.a_b].weight + g.arcs[occ.b_a].weight < 0
-            for occ in art.occurrences
-        ),
-        # The certificate is a negative cycle outside the digon family.
-        trivial_equals_vertices=False,
-        extra_vertices=None,
-        extra_are_long_cycles=None,
-        satisfiable=True,
-        witness=witness,
-        certificate=certificate,
-    )

@@ -176,6 +176,38 @@ def test_decide_unsatisfiable(tmp_path: Path, capsys: pytest.CaptureFixture[str]
 
 
 @pytest.mark.parametrize(
+    "text, expected",
+    [
+        (
+            # SAT, with one degenerate chain (x2 never occurs negated).
+            "p cnf 2 2\n1 -2 0\n2 0\n",
+            "nodes: 11\narcs: 20\noccurrences: 3\ndegenerate_chains: 1\n"
+            "trivial_family_size: 3\nvertex_count: unknown\n"
+            "trivial_is_subset: true\ntrivial_equals_vertices: false\n"
+            "extra_vertices: unknown\nextra_are_long_cycles: unknown\n"
+            "satisfiable: true\nwitness: x1=1 x2=1\n",
+        ),
+        (
+            UNSAT,
+            "nodes: 27\narcs: 49\noccurrences: 8\ndegenerate_chains: 0\n"
+            "trivial_family_size: 8\nvertex_count: 8\n"
+            "trivial_is_subset: true\ntrivial_equals_vertices: true\n"
+            "extra_vertices: 0\nextra_are_long_cycles: true\n"
+            "satisfiable: false\nwitness: -\n",
+        ),
+    ],
+    ids=["sat", "unsat"],
+)
+def test_decide_golden_output(
+    tmp_path: Path, capsys: pytest.CaptureFixture[str], text: str, expected: str
+) -> None:
+    cnf = tmp_path / "g.cnf"
+    cnf.write_text(text)
+    assert main(["decide", str(cnf)]) == 0
+    assert capsys.readouterr() == (expected, "")
+
+
+@pytest.mark.parametrize(
     "variables, clauses",
     [
         # One 25-literal clause, 30 variables in 15 clauses, and the

@@ -165,9 +165,11 @@ def test_arc_vector_zero_and_negative_entries() -> None:
     assert (v.den, v.items) == (3, ((0, -1), (2, 6)))
     assert len(v) == 3
     assert v.support() == (0, 2)
-    assert (v[0], v[1], v[2], v[-1]) == (Fraction(-1, 3), 0, 2, 2)
+    assert (v.entries[0], v.entries[1], v.entries[2], v.entries[-1]) == (
+        Fraction(-1, 3), 0, 2, 2
+    )
     with pytest.raises(IndexError):
-        v[3]
+        v.entries[3]
 
 
 @settings(max_examples=100, deadline=None)

@@ -20,7 +20,6 @@ from negflow.polyhedra import (
     _support_point,
     build_P,
     build_P_prime,
-    is_feasible_point,
     oracle_certifies_vertex,
     oracle_vertices,
 )
@@ -31,6 +30,13 @@ DIGON = parse_graph("p 2 2\na 1 2 -1/2\na 2 1 -1/2\n")
 
 def vec(*vals) -> ArcVector:
     return ArcVector(tuple(Fraction(v) for v in vals))
+
+
+def feasible(h: HRep, y: ArcVector) -> bool:
+    """Exact membership in ``{row . y = rhs, y >= 0}``, on integers."""
+    return all(n > 0 for _, n in y.items) and all(
+        sum(row[i] * n for i, n in y.items) == row[-1] * y.den for row in h.rows
+    )
 
 
 def test_build_P_triangle_shape() -> None:
@@ -152,27 +158,14 @@ def test_oracle_cap() -> None:
     assert exc.value.kind == "oracle work"
 
 
-def test_is_feasible_point_examples() -> None:
-    h = build_P(TRIANGLE)
-    ok = is_feasible_point(h, vec("1/3", "1/3", "1/3"))
-    assert ok.feasible and not ok.violations
-
-    bad = is_feasible_point(h, vec(1, 0, 0))
-    assert not bad.feasible
-    flow_violations = [v for v in bad.violations if v.startswith("eq")]
-    assert len(flow_violations) == 2  # conservation broken at two nodes
-
-    neg = is_feasible_point(h, vec(-1, 0, 0))
-    assert any("negative" in v for v in neg.violations)
-
-    with pytest.raises(ValueError):
-        is_feasible_point(h, vec(1))
-
-
 def test_oracle_certifies_vertex() -> None:
     h = build_P(TRIANGLE)
     assert oracle_certifies_vertex(h, vec("1/3", "1/3", "1/3"))
+    # Conservation broken at two nodes; a negative coordinate.
     assert not oracle_certifies_vertex(h, vec(1, 0, 0))
+    assert not oracle_certifies_vertex(h, vec(-1, 0, 0))
+    with pytest.raises(ValueError):
+        oracle_certifies_vertex(h, vec(1))
 
     # Feasible but non-vertex: midpoint of the two vertices of the
     # shared-node two-triangle instance.
@@ -181,7 +174,7 @@ def test_oracle_certifies_vertex() -> None:
     )
     hp = build_P(g)
     mid = vec("1/4", "1/4", "1/4", "1/2", "1/2", "1/2")
-    assert is_feasible_point(hp, mid).feasible
+    assert feasible(hp, mid)
     assert not oracle_certifies_vertex(hp, mid)
     for point in oracle_vertices(hp, 2**8).points:
         assert oracle_certifies_vertex(hp, point)
@@ -256,13 +249,13 @@ def test_oracle_vertices_are_feasible_and_certified(g: WeightedDigraph) -> None:
     result = oracle_vertices(h, STRATEGY_ORACLE_CAP)
     assert result.polyhedron_empty is (not result.points) or not result.polyhedron_empty
     for point in result.points:
-        assert is_feasible_point(h, point).feasible
+        assert feasible(h, point)
         assert oracle_certifies_vertex(h, point)
     # A midpoint of two vertices is feasible, but its support holds both
     # vertices' supports, so its columns are dependent.
     for a, b in combinations(result.points, 2):
         mid = ArcVector(tuple((x + y) / 2 for x, y in zip(a.entries, b.entries)))
-        assert is_feasible_point(h, mid).feasible
+        assert feasible(h, mid)
         assert not oracle_certifies_vertex(h, mid)
 
 
