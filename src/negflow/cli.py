@@ -57,8 +57,8 @@ def _build_parser() -> argparse.ArgumentParser:
             "--max-oracle",
             type=int,
             default=DEFAULT_ORACLE_CAP,
-            help="oracle work cap: one unit per support-walk node and per "
-            f"entry of each row a pivot changes (default {DEFAULT_ORACLE_CAP})",
+            help="oracle work cap: one unit per vector a line step rewrites and "
+            f"per ray an adjacency scan reads (default {DEFAULT_ORACLE_CAP})",
         )
 
     p = sub.add_parser("vertices", help="vertices from negative cycles")
@@ -69,7 +69,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph", type=Path)
     add_cycle_cap(p)
 
-    p = sub.add_parser("oracle", help="brute-force vertex enumeration")
+    p = sub.add_parser("oracle", help="double-description vertex enumeration")
     p.add_argument("graph", type=Path)
     p.add_argument(
         "--prime",

@@ -1,29 +1,30 @@
 """H-representations and an exhaustive exact vertex oracle.
 
-The oracle walks the candidate supports depth first, deciding one arc at a
-time, and solves the equality system exactly; supports with a common prefix
-share its elimination. It never touches floating point and has no tolerance
-anywhere. An H-representation holds integer rows, its weight row scaled
-once by the LCM of the weight denominators; the walk and phase 1 run
-fraction-free elimination on them, and each accepted vertex is read off as
-integer numerators over the last pivot. Walk nodes and elimination steps are
-charged against one work budget. The oracle is deliberately independent of
-the cycle-based characterization it is used to validate.
+The oracle runs the double-description method (Motzkin et al. 1953; Fukuda
+& Prodon 1996) on exact integer rays, with no floating point and no
+tolerance anywhere. An H-representation holds integer rows, its weight row
+scaled once by the LCM of the weight denominators. One fraction-free pivot
+serves the oracle's nullspace, the vertex certifier and phase 1. Line
+rewrites and adjacency scans are charged against one work budget. The
+oracle is deliberately independent of the cycle-based characterization it
+is used to validate.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from typing import Sequence
 
 from .errors import CapExceeded, NegflowError
 from .graph import ArcVector, WeightedDigraph, _scaled, sorted_points
 
-# Work units: 1 per walk node plus (rows changed) x (m + 1) per pivot. The
-# seed-1 `verify-oracle` benchmark pool (m <= 10) peaks at 10,541 units per
-# H-representation, 1% of this cap. The first 40 8-node, 20-arc graphs of
-# the seed-1 `directions-dense` pool need up to 2.9 M, so inputs that large
-# pass an explicit cap. The walk spends about 3.4 M units per second (2-core
-# x86 VM, Python 3.11), so the default cap ends a run within half a second.
+# Work units: 1 per vector a line step rewrites (the flipped line counted)
+# plus 1 per ray each pair test's adjacency scan reads. The seed-1
+# `verify-oracle` benchmark pool (m <= 10) peaks at 859 units per
+# H-representation; the first 40 8-node, 20-arc graphs of the seed-1
+# `directions-dense` pool at 169,785, so 20-arc graphs fit this cap. The
+# method spends about 14 M units per second (2-core x86 VM, Python 3.11),
+# so the default cap ends a run within a tenth of a second.
 DEFAULT_ORACLE_CAP = 2**20
 
 
@@ -53,7 +54,7 @@ class VertexSet:
 
 
 class _Budget:
-    """Counts elementary solve steps against a hard cap."""
+    """Counts work units against a hard cap."""
 
     def __init__(self, kind: str, cap: int) -> None:
         self.kind = kind
@@ -92,126 +93,131 @@ def _flow_rows(g: WeightedDigraph) -> list[tuple[int, ...]]:
     return [tuple(row) for row in rows]
 
 
-def _pivot(matrix: list[list[int]], row: int, col: int, prev: int) -> int:
+def _pivot(matrix: list[list[int]], row: int, col: int, prev: int) -> None:
     """Fraction-free Gauss-Jordan step (Bareiss): clear ``col`` from every
     other row by ``(p * other - f * pivot_row) // prev``, where ``p`` is the
     new pivot and ``prev`` the previous one (1 at the first step); rows with
     a zero in ``col`` are scaled by ``p / prev``. Every division is exact,
     and each row is then ``p`` times its counterpart in the rational
-    tableau, so the two share zero patterns and signs when ``p > 0``.
-    Returns the number of other rows with a nonzero in ``col``."""
+    tableau, so the two share zero patterns and signs when ``p > 0``."""
     pivot_row = matrix[row]
     p = pivot_row[col]
-    updated = 0
     for r, other in enumerate(matrix):
         if r == row:
             continue
         f = other[col]
         if f:
             matrix[r] = [(p * a - f * b) // prev for a, b in zip(other, pivot_row)]
-            updated += 1
         elif p != prev:
             matrix[r] = [p * a // prev for a in other]
-    return updated
 
 
-def _include(
-    matrix: list[list[int]], row_at: int, j: int, prev: int
-) -> tuple[list[list[int]], int] | None:
-    """Pivot column ``j`` into row ``row_at`` of a copy of the tableau, whose
-    rows above ``row_at`` hold the columns already chosen and ``prev`` the
-    last pivot. Rows are replaced, never mutated, so a shallow copy leaves
-    ``matrix`` intact. Returns the new tableau and the number of rows the
-    pivot changed, or ``None`` when column ``j`` has no nonzero at or below
-    ``row_at``: it then depends on the chosen columns, so every support
-    holding them all is inconsistent or underdetermined."""
-    pivot = next((r for r in range(row_at, len(matrix)) if matrix[r][j]), None)
-    if pivot is None:
-        return None
-    matrix = matrix.copy()
-    matrix[row_at], matrix[pivot] = matrix[pivot], matrix[row_at]
-    return matrix, _pivot(matrix, row_at, j, prev)
+def _eliminate(
+    matrix: list[list[int]], columns: Sequence[int]
+) -> tuple[list[int], int]:
+    """Gauss-Jordan on ``matrix`` in place, pivoting on ``columns`` in order
+    and skipping each column that depends on those before it. Returns the
+    pivot column of each leading row and the last pivot (1 if none), which
+    every leading row then holds at its pivot column."""
+    pivots: list[int] = []
+    prev = 1
+    for c in columns:
+        row_at = len(pivots)
+        r = next((r for r in range(row_at, len(matrix)) if matrix[r][c]), None)
+        if r is None:
+            continue
+        matrix[row_at], matrix[r] = matrix[r], matrix[row_at]
+        _pivot(matrix, row_at, c, prev)
+        prev = matrix[row_at][c]
+        pivots.append(c)
+    return pivots, prev
 
 
-def _prune_rows(rows: list[list[int]]) -> list[tuple[int, int, int]]:
-    """Per-row (positive-coeff mask, negative-coeff mask, rhs sign)."""
-    out = []
-    for *coeffs, rhs in rows:
-        pos = 0
-        neg = 0
-        for i, c in enumerate(coeffs):
-            if c > 0:
-                pos |= 1 << i
-            elif c < 0:
-                neg |= 1 << i
-        sign = (rhs > 0) - (rhs < 0)
-        out.append((pos, neg, sign))
-    return out
+def _reduced(v: list[int]) -> list[int]:
+    """``v`` divided by the gcd of its entries."""
+    g = gcd(*v)
+    return v if g == 1 else [x // g for x in v]
 
 
-def _completable(
-    chosen: int, allowed: int, prune_rows: list[tuple[int, int, int]]
-) -> bool:
-    """Can some support S with ``chosen <= S <= allowed`` meet every row with
-    a point that is strictly positive exactly on S? A row with rhs sign 0
-    needs both or neither of its coefficient signs on S; otherwise S needs
-    a coefficient of the rhs sign."""
-    for pos, neg, sign in prune_rows:
-        if sign == 0:
-            if chosen & (pos | neg) and not (allowed & pos and allowed & neg):
-                return False
-        elif not allowed & (pos if sign > 0 else neg):
-            return False
-    return True
+def _combine(a: int, v: list[int], b: int, w: list[int]) -> list[int]:
+    """``a * v - b * w``, reduced."""
+    return _reduced([a * x - b * y for x, y in zip(v, w)])
 
 
 def oracle_vertices(h: HRep, cap: int = DEFAULT_ORACLE_CAP) -> VertexSet:
-    """All vertices by a depth-first walk over supports with exact solving.
+    """All vertices by the double-description method on integer rays.
 
-    The walk decides the arcs in id order: one branch leaves arc ``j`` out,
-    the other pivots column ``j`` into a copy of the integer tableau
-    (`_include`), so supports with a common prefix share its elimination.
-    A column that depends on the arcs already chosen ends the branch; so
-    does a prefix that no completion can fit to the sign pattern of every
-    row. A leaf is accepted when its system is consistent and the unique
-    solution is strictly positive; the point extended by zeros is then a
-    basic feasible solution with exactly that support. Each walk node costs
-    1 unit of the ``"oracle work"`` budget and each pivot ``rows changed x
-    (m + 1)``. The returned ``polyhedron_empty`` flag comes from an
-    independent exact phase-1 simplex, and is cross-checked against vertex
-    existence (the polyhedra here are pointed, so the two must agree).
+    The extreme rays of the cone ``{(y, t): A y - t b = 0, y >= 0, t >= 0}``
+    with ``t > 0`` are the vertices ``y / t``. Starting from a nullspace
+    basis of ``[A | -b]`` as lines, the inequalities ``y_0, ..., y_{m-1}, t
+    >= 0`` are added one at a time, each ray keeping the mask of those it
+    meets with equality. A line nonzero on the new inequality is oriented
+    positive there, cancels that coordinate in every other vector and
+    becomes a ray. Otherwise the rays negative there are dropped, and each
+    (positive, negative) pair whose common mask lies in no third ray's mask
+    adds its combination that is zero there. The ``"oracle work"`` budget
+    is charged 1 per vector a line step rewrites and 1 per ray an adjacency
+    scan reads. The ``polyhedron_empty`` flag comes from an independent
+    exact phase-1 simplex and is cross-checked against vertex existence
+    (the polyhedra here are pointed, so the two must agree).
     """
     if cap < 1:
         raise ValueError("cap must be positive")
     m = h.dimension
     budget = _Budget("oracle work", cap)
-    rows = list(h.rows)
-    prune = _prune_rows(rows)
-    everything = (1 << m) - 1
-    points: list[ArcVector] = []
-    # (next arc, tableau, chosen arcs, pivot rows used, last pivot)
-    stack = [(0, rows, 0, 0, 1)] if _completable(0, everything, prune) else []
-    while stack:
-        j, matrix, chosen, row_at, prev = stack.pop()
-        budget.spend(1)
-        if j == m:
-            point = _leaf_point(matrix, chosen, row_at, prev, m)
-            if point is not None:
-                points.append(point)
+    matrix = [[*row[:-1], -row[-1]] for row in h.rows]
+    pivots, prev = _eliminate(matrix, range(m + 1))
+    # Free column f: ``prev`` at f, minus column f at each pivot column.
+    lines = []
+    for f in sorted(set(range(m + 1)) - set(pivots)):
+        line = [0] * (m + 1)
+        line[f] = prev
+        for r, c in enumerate(pivots):
+            line[c] = -matrix[r][f]
+        lines.append(_reduced(line))
+    rays: list[tuple[list[int], int]] = []  # (vector, tight mask)
+    for i in range(m + 1):
+        bit = 1 << i
+        k = next((k for k, line in enumerate(lines) if line[i]), None)
+        if k is not None:
+            line = lines.pop(k)
+            flipped = line[i] < 0
+            if flipped:
+                line = [-x for x in line]
+            a = line[i]
+            moved = sum(1 for v in lines if v[i]) + sum(1 for v, _ in rays if v[i])
+            budget.spend(flipped + moved)
+            lines = [_combine(a, v, v[i], line) if v[i] else v for v in lines]
+            rays = [
+                (_combine(a, v, v[i], line) if v[i] else v, mask | bit)
+                for v, mask in rays
+            ]
+            rays.append((line, bit - 1))
             continue
-        bit = 1 << j
-        allowed = chosen | (everything >> j << j)
-        if _completable(chosen, allowed & ~bit, prune):
-            stack.append((j + 1, matrix, chosen, row_at, prev))
-        if not _completable(chosen | bit, allowed, prune):
-            continue
-        step = _include(matrix, row_at, j, prev)
-        if step is None:
-            continue
-        matrix, changed = step
-        budget.spend(changed * (m + 1))
-        stack.append((j + 1, matrix, chosen | bit, row_at + 1, matrix[row_at][j]))
-    empty = not _phase1_feasible(rows, m)
+        negative = [ray for ray in rays if ray[0][i] < 0]
+        kept = [(v, mask if v[i] else mask | bit) for v, mask in rays if v[i] >= 0]
+        for p, p_mask in rays:
+            if p[i] <= 0:
+                continue
+            for q, q_mask in negative:
+                common = p_mask & q_mask
+                read = 0
+                for v, mask in rays:
+                    if v is p or v is q:
+                        continue
+                    read += 1
+                    if mask & common == common:
+                        break
+                else:
+                    kept.append((_combine(p[i], q, q[i], p), common | bit))
+                budget.spend(read)
+        rays = kept
+    points = [
+        ArcVector.from_ints(m, v[m], [(j, x) for j, x in enumerate(v[:m]) if x])
+        for v, _ in rays
+        if v[m]
+    ]
+    empty = not _phase1_feasible(h.rows, m)
     if empty != (not points):
         raise NegflowError(
             "feasibility flag contradicts vertex enumeration on a pointed polyhedron"
@@ -219,52 +225,21 @@ def oracle_vertices(h: HRep, cap: int = DEFAULT_ORACLE_CAP) -> VertexSet:
     return VertexSet(sorted_points(points), polyhedron_empty=empty)
 
 
-def _leaf_point(
-    matrix: list[list[int]], chosen: int, row_at: int, prev: int, m: int
-) -> ArcVector | None:
-    """The unique solution on the chosen columns, pivot row ``r`` holding the
-    ``r``-th chosen column with ``prev`` on its diagonal, if the system is
-    consistent and the solution strictly positive."""
-    if any(matrix[r][m] for r in range(row_at, len(matrix))):
-        return None
-    sign = -1 if prev < 0 else 1
-    items = []
-    r = 0
-    for c in range(m):
-        if chosen >> c & 1:
-            v = sign * matrix[r][m]
-            if v <= 0:
-                return None
-            items.append((c, v))
-            r += 1
-    return ArcVector.from_ints(m, sign * prev, items)
-
-
-def _support_point(
-    rows: list[list[int]], support: Sequence[int], m: int
-) -> ArcVector | None:
-    """The walk's leaf for one support, in increasing column order: the
-    point strictly positive exactly on it, if the integer equalities have
-    a unique such solution there."""
-    matrix, prev = rows, 1
-    for row_at, j in enumerate(support):
-        step = _include(matrix, row_at, j, prev)
-        if step is None:
-            return None
-        matrix = step[0]
-        prev = matrix[row_at][j]
-    chosen = sum(1 << j for j in support)
-    return _leaf_point(matrix, chosen, len(support), prev, m)
-
-
 def oracle_certifies_vertex(h: HRep, y: ArcVector) -> bool:
-    """The oracle's per-support accept test applied to a single point.
-
-    A point the test returns solves every row exactly and is strictly
-    positive on its support, so equality with it also proves feasibility."""
+    """The textbook vertex test: ``y`` solves every row, is nonnegative, and
+    the columns of its support are linearly independent, so it is the one
+    point of the polyhedron with that support."""
     if len(y) != h.dimension:
         raise ValueError("vector dimension does not match H-representation")
-    return _support_point(list(h.rows), y.support(), h.dimension) == y
+    solves = all(
+        sum(row[i] * n for i, n in y.items) == row[-1] * y.den for row in h.rows
+    )
+    support = y.support()
+    return (
+        solves
+        and all(n >= 0 for _, n in y.items)
+        and len(_eliminate([list(row) for row in h.rows], support)[0]) == len(support)
+    )
 
 
 def _phase1_feasible(rows: Sequence[Sequence[int]], n: int) -> bool:

@@ -10,8 +10,9 @@ TEST_REFERENCES = {
     # Brute-force SAT: the reference that `decide`'s certificate verdict is
     # checked against.
     "brute_force_sat",
-    # The oracle's accept test on one point: checks the cycle-built vertices
-    # and directions one by one, and rejects non-vertex midpoints.
+    # The textbook vertex test on one point (feasible, support columns
+    # independent): checks the cycle-built vertices and directions one by
+    # one, and rejects non-vertex midpoints.
     "oracle_certifies_vertex",
     # Compact restriction to an arc set: the union-enumeration reference
     # for `is_two_cycle` enumerates the cycles of the pair's union.

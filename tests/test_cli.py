@@ -317,8 +317,9 @@ def test_cap_exceeded_exits_3(fig3: Path, capsys: pytest.CaptureFixture[str]) ->
     assert err.endswith("; raise --max-cycles\n")
 
 
-def test_oracle_cap_hint(triangle: Path, capsys: pytest.CaptureFixture[str]) -> None:
-    assert main(["oracle", str(triangle), "--max-oracle", "2"]) == 3
+def test_oracle_cap_hint(fig3: Path, capsys: pytest.CaptureFixture[str]) -> None:
+    # The oracle spends 10 units on P of the k = 1 Fig. 3 graph.
+    assert main(["oracle", str(fig3), "--max-oracle", "2"]) == 3
     err = capsys.readouterr().err
     assert "oracle work cap 2 exceeded" in err
     assert "--max-oracle" in err

@@ -1,5 +1,5 @@
-"""H-representations and the depth-first vertex oracle, checked against the
-support-enumeration oracle it replaced."""
+"""H-representations and the double-description vertex oracle, checked
+against a support-enumeration oracle over `Fraction`."""
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
@@ -14,10 +14,7 @@ from negflow.graph import Arc, ArcVector, WeightedDigraph, _scaled, parse_graph
 from negflow.polyhedra import (
     HRep,
     VertexSet,
-    _include,
     _phase1_feasible,
-    _prune_rows,
-    _support_point,
     build_P,
     build_P_prime,
     oracle_certifies_vertex,
@@ -146,13 +143,14 @@ def test_prime_disjoint_opposite_triangles() -> None:
 
 
 def test_oracle_cap() -> None:
-    # With no equalities every column is zero, so each include branch ends
-    # at once: 31 walk nodes to the origin, the one vertex of the orthant.
-    result = oracle_vertices(HRep(30, ()), 2**20)
+    # With no equalities the starting lines are the 31 coordinate axes, each
+    # positive on its own inequality: 31 line steps that rewrite nothing, so
+    # 0 units, and the one vertex of the orthant, the origin.
+    result = oracle_vertices(HRep(30, ()), 1)
     assert [p.entries for p in result.points] == [(0,) * 30]
     assert result.polyhedron_empty is False
-    # An 8-node, 30-arc graph whose walk needs more than 2^22 units: the cap
-    # aborts it loudly instead of returning the vertices found so far.
+    # An 8-node, 30-arc graph that needs 1,141,647 units: the cap aborts it
+    # loudly instead of returning the vertices found so far.
     with pytest.raises(CapExceeded) as exc:
         oracle_vertices(build_P(gen_random(8, 30, (-3, 3), 0)), 2**20)
     assert exc.value.kind == "oracle work"
@@ -213,18 +211,18 @@ RATIONAL_WEIGHTS = _arcs(
 )
 
 
-# The oracle cap bounds walk nodes plus elimination work. For the strategy
-# above (<= 4 nodes, so <= 6 rows of P'; <= 7 arcs) the walk has at most
-# 2^8 - 1 nodes and 2^7 - 1 pivots, each changing at most 5 rows of 8
-# units: 255 + 127 x 40 = 5,335 units, so this cap never aborts a drawn
-# graph (nor an `hreps()` draw: 63 + 31 x 4 x 6 = 807).
-STRATEGY_ORACLE_CAP = 2**13
+# The oracle cap bounds line rewrites plus adjacency-scan reads. For the
+# strategy above (<= 4 nodes, <= 7 arcs) neither 100,000 random draws nor
+# a hill-climbing search over 12,000 more graphs found one above 285 units
+# for P or P', nor 100,000 `hreps()` draws one above 51: this cap leaves 7x
+# headroom over the largest draw seen.
+STRATEGY_ORACLE_CAP = 2**11
 
 
 # Three weight-0 loops at node 0, two weight -1 arcs 0->1 and two weight-0
-# arcs 1->0: 2^7 supports, but the walk on P visits 16 nodes and makes 6
-# pivots of 8 or 16 units, 80 units in all. The loops' zero columns end
-# every branch that includes one.
+# arcs 1->0: 2^7 supports, but the oracle on P spends 16 units. Four lines
+# are flipped and four rays rewritten, and the two adjacent pairs each
+# scan the four other rays.
 LOOPY_MULTIGRAPH = _arcs(
     2,
     (0, 0, 0), (0, 0, 0), (0, 0, 0),
@@ -235,9 +233,9 @@ LOOPY_MULTIGRAPH = _arcs(
 
 def test_oracle_work_cap() -> None:
     with pytest.raises(CapExceeded) as exc:
-        oracle_vertices(build_P(LOOPY_MULTIGRAPH), 79)
+        oracle_vertices(build_P(LOOPY_MULTIGRAPH), 15)
     assert exc.value.kind == "oracle work"
-    assert len(oracle_vertices(build_P(LOOPY_MULTIGRAPH), 80).points) == 4
+    assert len(oracle_vertices(build_P(LOOPY_MULTIGRAPH), 16).points) == 4
 
 
 @settings(max_examples=60, deadline=None)
@@ -345,33 +343,27 @@ def test_builders_and_oracle_use_no_fraction_arithmetic(fraction_calls) -> None:
 
 
 # The rational elimination the integer kernel replaced, kept as its
-# reference: the oracle's support solve and phase-1 simplex over `Fraction`,
-# sharing one pivot step that scales the pivot row to 1.
+# reference: a support solve and phase-1 simplex over `Fraction`, sharing
+# one pivot step that scales the pivot row to 1.
 
 
-def _reference_pivot(matrix: list[list[Fraction]], row: int, col: int) -> int:
+def _reference_pivot(matrix: list[list[Fraction]], row: int, col: int) -> None:
     inv = 1 / matrix[row][col]
     pivot = [v * inv for v in matrix[row]]
     matrix[row] = pivot
-    updated = 0
     for r, other in enumerate(matrix):
         f = other[col]
         if r != row and f != 0:
             matrix[r] = [a - f * b for a, b in zip(other, pivot)]
-            updated += 1
-    return updated
 
 
-def _reference_solve(
-    h: HRep, support: list[int]
-) -> tuple[str, list[Fraction] | None, list[tuple[int, int]]]:
-    """Verdict, values on the support if unique, and (column, rows changed)
-    for each column pivoted, in order."""
+def _reference_solve(h: HRep, support: list[int]) -> tuple[str, list[Fraction] | None]:
+    """Verdict on the rows restricted to the support columns, and the values
+    on the support if the solution is unique."""
     width = len(support)
     matrix = [
         [Fraction(row[c]) for c in support] + [Fraction(row[-1])] for row in h.rows
     ]
-    pivots: list[tuple[int, int]] = []
     row_at = 0
     for col in range(width):
         pivot = next(
@@ -380,16 +372,16 @@ def _reference_solve(
         if pivot is None:
             continue
         matrix[row_at], matrix[pivot] = matrix[pivot], matrix[row_at]
-        pivots.append((support[col], _reference_pivot(matrix, row_at, col)))
+        _reference_pivot(matrix, row_at, col)
         row_at += 1
         if row_at == len(matrix):
             break
     for r in range(row_at, len(matrix)):
         if matrix[r][width] != 0:
-            return "none", None, pivots
-    if len(pivots) < width:
-        return "many", None, pivots
-    return "unique", [matrix[r][width] for r in range(width)], pivots
+            return "none", None
+    if row_at < width:
+        return "many", None
+    return "unique", [matrix[r][width] for r in range(width)]
 
 
 def _reference_phase1(h: HRep) -> bool:
@@ -458,44 +450,33 @@ def hreps_with_support(draw: st.DrawFn) -> tuple[HRep, list[int]]:
     return h, sorted(draw(st.sets(st.integers(0, h.dimension - 1))))
 
 
+def _on_support(m: int, support: list[int], values: list[Fraction]) -> ArcVector:
+    entries = [Fraction(0)] * m
+    for c, v in zip(support, values):
+        entries[c] = v
+    return ArcVector(tuple(entries))
+
+
 @settings(max_examples=300, deadline=None)
 @given(hreps_with_support())
 @example((build_P(RATIONAL_WEIGHTS), [0, 3]))
 @example((ZERO_THEN_PIVOT, [0, 1]))
 @example((build_P_prime(RATIONAL_WEIGHTS), [0, 1, 2, 3]))
-def test_support_solve_matches_fraction_reference(
-    case: tuple[HRep, list[int]]
-) -> None:
-    # The fold stops at the first dependent column, where the reference
-    # skips it and goes on; up to there both pivot the same rows.
+def test_certifier_matches_fraction_reference(case: tuple[HRep, list[int]]) -> None:
+    # A point positive exactly on the support is a vertex iff the reference
+    # solves the support uniquely to it. Try the unique solution when it is
+    # positive, and the all-ones point, which is a vertex only when it is
+    # that solution (a feasible one on dependent columns is not).
     h, support = case
-    status, expected, expected_pivots = _reference_solve(h, support)
-    rows = list(h.rows)
-    m = h.dimension
-    matrix, prev = rows, 1
-    pivots = []
-    for row_at, j in enumerate(support):
-        step = _include(matrix, row_at, j, prev)
-        if step is None:
-            assert status != "unique"
-            assert j not in [c for c, _ in expected_pivots]
-            break
-        matrix, changed = step
-        prev = matrix[row_at][j]
-        pivots.append((j, changed))
-    assert pivots == expected_pivots[: len(pivots)]
-    if len(pivots) == len(support):
-        k = len(support)
-        assert status == ("none" if any(row[m] for row in matrix[k:]) else "unique")
-    if status == "unique":
-        assert [Fraction(matrix[r][m], prev) for r in range(len(support))] == expected
-    point = None
-    if status == "unique" and all(v > 0 for v in expected):
-        entries = [Fraction(0)] * m
-        for c, v in zip(support, expected):
-            entries[c] = v
-        point = ArcVector(tuple(entries))
-    assert _support_point(rows, support, m) == point
+    status, values = _reference_solve(h, support)
+    ones = [Fraction(1)] * len(support)
+    candidates = [ones]
+    if status == "unique" and all(v > 0 for v in values):
+        candidates.append(values)
+    for candidate in candidates:
+        point = _on_support(h.dimension, support, candidate)
+        expected = status == "unique" and candidate == values
+        assert oracle_certifies_vertex(h, point) == expected
 
 
 @settings(max_examples=300, deadline=None)
@@ -506,15 +487,27 @@ def test_phase1_matches_fraction_reference(h: HRep) -> None:
     assert _phase1_feasible(list(h.rows), h.dimension) == _reference_phase1(h)
 
 
-# The support-enumeration oracle the depth-first walk replaced, kept as its
-# reference: every support whose sign pattern can meet all rows is solved
-# from scratch.
+# The support-enumeration oracle, kept as the reference for the
+# double-description one: every support whose sign pattern can meet all
+# rows, and whose columns are few enough to be independent (at most one per
+# row), is solved from scratch over `Fraction`.
 
 
-def _support_is_plausible(s: int, prune_rows: list[tuple[int, int, int]]) -> bool:
+def _sign_masks(h: HRep) -> list[tuple[int, int, int]]:
+    """Per row: (positive-coefficient mask, negative-coefficient mask, rhs
+    sign)."""
+    out = []
+    for *coeffs, rhs in h.rows:
+        pos = sum(1 << i for i, c in enumerate(coeffs) if c > 0)
+        neg = sum(1 << i for i, c in enumerate(coeffs) if c < 0)
+        out.append((pos, neg, (rhs > 0) - (rhs < 0)))
+    return out
+
+
+def _support_is_plausible(s: int, masks: list[tuple[int, int, int]]) -> bool:
     # A support passes only if every row can still be satisfied by a point
     # that is strictly positive exactly on the support.
-    for pos, neg, sign in prune_rows:
+    for pos, neg, sign in masks:
         if sign == 0:
             if ((s & pos) == 0) != ((s & neg) == 0):
                 return False
@@ -529,17 +522,27 @@ def _support_is_plausible(s: int, prune_rows: list[tuple[int, int, int]]) -> boo
 
 def _reference_oracle_vertices(h: HRep) -> VertexSet:
     m = h.dimension
-    rows = list(h.rows)
-    prune = _prune_rows(rows)
+    masks = _sign_masks(h)
     points: list[ArcVector] = []
     for s in range(2**m):
-        if not _support_is_plausible(s, prune):
+        if s.bit_count() > len(h.rows) or not _support_is_plausible(s, masks):
             continue
-        point = _support_point(rows, [i for i in range(m) if s >> i & 1], m)
-        if point is not None:
-            points.append(point)
+        support = [i for i in range(m) if s >> i & 1]
+        status, values = _reference_solve(h, support)
+        if status == "unique" and all(v > 0 for v in values):
+            points.append(_on_support(m, support, values))
     points.sort(key=lambda p: p.entries)
-    return VertexSet(tuple(points), polyhedron_empty=not _phase1_feasible(rows, m))
+    return VertexSet(tuple(points), polyhedron_empty=not _reference_phase1(h))
+
+
+# y_0 + y_1 = 1: the first nullspace line is (-1, 1, 0), so the oracle must
+# flip it to be positive on y_0 before it becomes a ray.
+FLIPPED_LINE = HRep(2, ((1, 1, 1),))
+# 0 y_0 = 1 is infeasible: its cone forces t = 0 and has the ray (1, 0),
+# which is no vertex.
+T_ZERO = HRep(1, ((0, 1),))
+# No coordinates and no rows: the one point is the empty vector.
+NO_COLUMNS = HRep(0, ())
 
 
 @settings(max_examples=300, deadline=None)
@@ -547,7 +550,10 @@ def _reference_oracle_vertices(h: HRep) -> VertexSet:
 @example(LOOPY_MULTIGRAPH)
 @example(RATIONAL_WEIGHTS)
 @example(ZERO_THEN_PIVOT)
-def test_walk_matches_support_enumeration(case: HRep | WeightedDigraph) -> None:
+@example(FLIPPED_LINE)
+@example(T_ZERO)
+@example(NO_COLUMNS)
+def test_oracle_matches_support_enumeration(case: HRep | WeightedDigraph) -> None:
     if isinstance(case, HRep):
         reps = [case]
     else:
@@ -556,7 +562,7 @@ def test_walk_matches_support_enumeration(case: HRep | WeightedDigraph) -> None:
         assert oracle_vertices(h, STRATEGY_ORACLE_CAP) == _reference_oracle_vertices(h)
 
 
-def test_walk_matches_support_enumeration_on_corpus(
+def test_oracle_matches_support_enumeration_on_corpus(
     graph_corpus: list[WeightedDigraph],
 ) -> None:
     mismatches = [
