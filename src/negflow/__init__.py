@@ -2,9 +2,10 @@
 
 The package enumerates simple cycles of a weighted digraph, derives the
 vertices and extreme directions of the associated flow polyhedron from
-them, cross-checks both against a brute-force support-enumeration
-oracle, and carries a CNF-to-graph construction under which the vertex
-set collapses to a trivial family exactly on unsatisfiable inputs.
+them, cross-checks both against a double-description vertex oracle that
+sees only the H-representation, and carries a CNF-to-graph construction
+under which the vertex set collapses to a trivial family exactly on
+unsatisfiable inputs.
 Arc weights, cycle weights and parsed or printed values are
 `fractions.Fraction`s; the H-representations, the vertex oracle, the cycle
 sums and the arc vectors are integers inside. Nothing is floating point.

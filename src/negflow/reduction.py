@@ -383,9 +383,10 @@ def _long_cycle(art: ReductionArtifact, cap: int) -> tuple[int, ...] | None:
     pass and weighs -1; it then visits v0 .. vn, v'1 .. v'm in order.
     The search builds those paths one segment c_k -> c_{k+1} at a time,
     trying out-arcs in id order. A segment enters no path node and no
-    connector but c_{k+1}. On reaching c_{k+1}, a breadth-first check
-    that every later segment still has such a path cuts the branch early,
-    as soon as some clause has all its occurrences on the path.
+    connector but c_{k+1}. A variable segment is one literal's chain, and
+    clause j's segment can only be r-b-a-s through an occurrence of clause
+    j whose a-node is off the path. So a variable segment never enters the
+    a-node of a clause's last open occurrence: that branch is dead.
     """
     g = art.graph
     connectors = art.connectors
@@ -398,26 +399,10 @@ def _long_cycle(art: ReductionArtifact, cap: int) -> tuple[int, ...] | None:
         is_connector[c] = True
     on_path[connectors[0]] = True
     no_exit = {occ.p_a: occ.a_s for occ in art.occurrences}
-
-    # Ignores the p-a-s rule, so it is a relaxation and cuts no branch that
-    # could still complete.
-    def later_segments_open(k: int) -> bool:
-        for src, dst in zip(connectors[k:last], connectors[k + 1 :]):
-            seen = {src}
-            frontier = [src]
-            while frontier and dst not in seen:
-                nxt = []
-                for v in frontier:
-                    for arc in g.out_arcs[v]:
-                        w = arc.head
-                        if w in seen or on_path[w] or (is_connector[w] and w != dst):
-                            continue
-                        seen.add(w)
-                        nxt.append(w)
-                frontier = nxt
-            if dst not in seen:
-                return False
-        return True
+    clause_at = {occ.a_node: occ.clause_index for occ in art.occurrences}
+    # Per clause, the occurrences whose a-node is off the path.
+    open_count = [len(clause) for clause in art.formula.clauses]
+    variable_count = art.formula.variable_count
 
     arcs: list[int] = []
     # One frame per path node: its segment index and its out-arc iterator.
@@ -432,6 +417,9 @@ def _long_cycle(art: ReductionArtifact, cap: int) -> tuple[int, ...] | None:
                 continue
             if arcs and no_exit.get(arcs[-1]) == arc.arc_id:
                 continue
+            j = clause_at.get(w)
+            if j is not None and k < variable_count and open_count[j] == 1:
+                continue
             searched += 1
             if searched > cap:
                 raise CapExceeded(
@@ -443,14 +431,16 @@ def _long_cycle(art: ReductionArtifact, cap: int) -> tuple[int, ...] | None:
             if segment == last:
                 return (*arcs, arc.arc_id, art.closing_arc)
             on_path[w] = True
-            if segment > k and not later_segments_open(segment):
-                on_path[w] = False
-                continue
+            if j is not None:
+                open_count[j] -= 1
             frames.append((segment, iter(g.out_arcs[w])))
             arcs.append(arc.arc_id)
             break
         else:
             frames.pop()
             if arcs:
-                on_path[g.arcs[arcs.pop()].head] = False
+                v = g.arcs[arcs.pop()].head
+                on_path[v] = False
+                if v in clause_at:
+                    open_count[clause_at[v]] += 1
     return None

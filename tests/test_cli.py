@@ -245,7 +245,11 @@ def test_decide_capped_before_long_cycle_prints_no_verdict(
     tmp_path: Path, capsys: pytest.CaptureFixture[str]
 ) -> None:
     # Satisfiable, but the search completes its first long cycle only at
-    # its 39th node.
+    # its 27th node: 6 for x1's positive chain, after which both x2 chains
+    # would enter clause 1's or clause 3's last open occurrence; 3 for x1's
+    # negated chain; 3 for x2's positive chain, up to clause 2's last open
+    # occurrence; 3 for x2's negated chain; 6 for clause 1, 3 of them a
+    # b->q detour that dead-ends; and 3 each for clauses 2 and 3.
     cnf = tmp_path / "sat.cnf"
     cnf.write_text("p cnf 2 3\n1 2 0\n-1 2 0\n1 -2 0\n")
     assert main(["decide", str(cnf), "--max-cycles", "10"]) == 3
@@ -255,9 +259,9 @@ def test_decide_capped_before_long_cycle_prints_no_verdict(
         "error: search nodes cap 10 exceeded (searched 10 nodes, no long "
         "cycle completed); raise --max-cycles\n"
     )
-    assert main(["decide", str(cnf), "--max-cycles", "38"]) == 3
+    assert main(["decide", str(cnf), "--max-cycles", "26"]) == 3
     capsys.readouterr()
-    assert main(["decide", str(cnf), "--max-cycles", "39"]) == 0
+    assert main(["decide", str(cnf), "--max-cycles", "27"]) == 0
     assert "satisfiable: true\n" in capsys.readouterr().out
     assert main(["decide", str(cnf)]) == 0
     assert "satisfiable: true\n" in capsys.readouterr().out

@@ -6,6 +6,7 @@ and clause sections) and six arcs; chains of t occurrences add t-1
 junction nodes; one closing arc; an empty chain contributes a single
 zero-weight arc instead.
 """
+import random
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 from negflow.characterize import vertex_from_cycle, vertices_from_negative_cycles
 from negflow.cli import main
 from negflow.cycles import enumerate_cycles
-from negflow.errors import ParseError
+from negflow.errors import CapExceeded, ParseError
 from negflow.polyhedra import build_P, oracle_certifies_vertex
 from negflow.reduction import (
     CnfFormula,
@@ -419,6 +420,45 @@ def test_decide_certificate_matches_brute_force(f: CnfFormula) -> None:
         assert_certificate(report)
     else:
         assert_matches_dense_reference(f, report)
+
+
+def random_3cnf(seed: int, n: int) -> CnfFormula:
+    """round(4.26 n) clauses of 3 distinct variables with random signs: the
+    ratio where random 3-CNFs are hardest."""
+    rng = random.Random(seed)
+    return CnfFormula(
+        n,
+        tuple(
+            tuple(v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n + 1), 3))
+            for _ in range(round(4.26 * n))
+        ),
+    )
+
+
+@pytest.mark.parametrize("n", [8, 10, 12, 14])
+def test_decide_random_3cnf_at_threshold_matches_brute_force(n: int) -> None:
+    # Seeds 100n .. 100n + 4; 3 of the 20 formulas are UNSAT. Near this
+    # ratio the search branches and cuts deeply, which the property test
+    # above, at 5 variables and 5 clauses, does not reach.
+    for seed in range(100 * n, 100 * n + 5):
+        f = random_3cnf(seed, n)
+        report = decide_ve01(f, 2**20)
+        assert report.satisfiable == brute_force_sat(f)[0]
+        if report.satisfiable:
+            assert_certificate(report)
+
+
+def test_decide_cap_guard_on_hard_unsat_formula() -> None:
+    # 14 variables, 60 clauses, UNSAT. The search is exhausted after exactly
+    # 5,454 nodes, because no variable chain enters the a-node of a
+    # clause's last open occurrence.
+    f = random_3cnf(5, 14)
+    assert brute_force_sat(f) == (False, None)
+    assert not decide_ve01(f, 5454).satisfiable
+    with pytest.raises(CapExceeded) as exc:
+        decide_ve01(f, 5453)
+    assert exc.value.kind == "search nodes"
+    assert exc.value.cap == 5453
 
 
 def test_decide_report_text() -> None:
