@@ -5,7 +5,8 @@ scaled by -1/weight; extreme directions come from zero cycles scaled by
 1/length and from 2-cycles combined with their (mu, mu') coefficients.
 Each is built straight from arc ids as integer numerators over one
 denominator, so no ``Fraction`` arithmetic runs per entry.
-`verify_theorem1` checks both sets against the independent oracle.
+`verify_theorem1` checks both sets against one run of the independent
+oracle on P, which yields its vertices and its extreme directions.
 """
 from __future__ import annotations
 
@@ -24,7 +25,6 @@ from .polyhedra import (
     DEFAULT_ORACLE_CAP,
     VertexSet,
     build_P,
-    build_P_prime,
     oracle_vertices,
 )
 
@@ -86,9 +86,8 @@ class CharacterizationReport:
     vertices_match: bool
     directions_match: bool
     formula_vertices: VertexSet
-    oracle_vertex_set: VertexSet
     formula_directions: VertexSet
-    oracle_direction_set: VertexSet
+    oracle: VertexSet
     negative_cycles: int
     zero_cycles: int
     positive_cycles: int
@@ -111,11 +110,13 @@ class CharacterizationReport:
         ]
         if not self.vertices_match:
             lines += _diff_lines(
-                "vertex", self.formula_vertices, self.oracle_vertex_set
+                "vertex", set(self.formula_vertices.points), set(self.oracle.points)
             )
         if not self.directions_match:
             lines += _diff_lines(
-                "direction", self.formula_directions, self.oracle_direction_set
+                "direction",
+                set(self.formula_directions.points),
+                set(self.oracle.directions),
             )
         return "\n".join(lines) + "\n"
 
@@ -124,13 +125,11 @@ def _bool(value: bool) -> str:
     return "true" if value else "false"
 
 
-def _diff_lines(kind: str, formula: VertexSet, oracle: VertexSet) -> list[str]:
-    formula_set = set(formula.points)
-    oracle_set = set(oracle.points)
+def _diff_lines(kind: str, formula: set[ArcVector], oracle: set[ArcVector]) -> list[str]:
     lines = []
-    for p in sorted_points(formula_set - oracle_set):
+    for p in sorted_points(formula - oracle):
         lines.append(f"{kind}_only_in_formula: {format_point(p)}")
-    for p in sorted_points(oracle_set - formula_set):
+    for p in sorted_points(oracle - formula):
         lines.append(f"{kind}_only_in_oracle: {format_point(p)}")
     return lines
 
@@ -156,20 +155,19 @@ def verify_theorem1(
     cycle_cap: int = DEFAULT_CYCLE_CAP,
     oracle_cap: int = DEFAULT_ORACLE_CAP,
 ) -> CharacterizationReport:
-    """Exact set comparison of both characterizations against the oracle."""
+    """Exact set comparison of both characterizations against one oracle run
+    on P: its vertices and its directions."""
     cycles = enumerate_cycles(g, cycle_cap)
     two_cycles = enumerate_two_cycles(g, cycles, cycle_cap)
     formula_vertices = vertices_from_negative_cycles(g, cycles)
     formula_directions = directions_from_cycles(g, cycles, two_cycles)
-    oracle_v = oracle_vertices(build_P(g), oracle_cap)
-    oracle_d = oracle_vertices(build_P_prime(g), oracle_cap)
+    oracle = oracle_vertices(build_P(g), oracle_cap)
     return CharacterizationReport(
-        vertices_match=set(formula_vertices.points) == set(oracle_v.points),
-        directions_match=set(formula_directions.points) == set(oracle_d.points),
+        vertices_match=set(formula_vertices.points) == set(oracle.points),
+        directions_match=set(formula_directions.points) == set(oracle.directions),
         formula_vertices=formula_vertices,
-        oracle_vertex_set=oracle_v,
         formula_directions=formula_directions,
-        oracle_direction_set=oracle_d,
+        oracle=oracle,
         negative_cycles=sum(1 for c in cycles if c.weight.numerator < 0),
         zero_cycles=sum(1 for c in cycles if c.weight.numerator == 0),
         positive_cycles=sum(1 for c in cycles if c.weight.numerator > 0),

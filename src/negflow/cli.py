@@ -29,7 +29,6 @@ from .graph import parse_arc_vector, parse_graph, serialize_graph
 from .polyhedra import (
     DEFAULT_ORACLE_CAP,
     build_P,
-    build_P_prime,
     oracle_vertices,
 )
 from .reduction import build_reduction, decide_ve01, parse_dimacs_cnf, trivial_vertex_family
@@ -57,8 +56,9 @@ def _build_parser() -> argparse.ArgumentParser:
             "--max-oracle",
             type=int,
             default=DEFAULT_ORACLE_CAP,
-            help="oracle work cap: one unit per vector a line step rewrites and "
-            f"per ray an adjacency scan reads (default {DEFAULT_ORACLE_CAP})",
+            help="work cap of the one oracle run on P: one unit per vector a line "
+            "step rewrites and per ray an adjacency scan reads "
+            f"(default {DEFAULT_ORACLE_CAP})",
         )
 
     p = sub.add_parser("vertices", help="vertices from negative cycles")
@@ -74,7 +74,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--prime",
         action="store_true",
-        help="enumerate the direction polytope instead",
+        help="print the extreme directions that the same run yields instead",
     )
     add_oracle_cap(p)
 
@@ -146,12 +146,12 @@ def _run(args: argparse.Namespace) -> int:
         return 0
     if args.command == "oracle":
         g = parse_graph(args.graph.read_text())
-        rep = build_P_prime(g) if args.prime else build_P(g)
-        result = oracle_vertices(rep, args.max_oracle)
-        if result.polyhedron_empty:
+        result = oracle_vertices(build_P(g), args.max_oracle)
+        points = result.directions if args.prime else result.points
+        if not points:
             print("c polyhedron empty")
         tag = "d" if args.prime else "v"
-        for point in result.points:
+        for point in points:
             print(format_tagged_point(tag, point))
         return 0
     if args.command == "verify":

@@ -29,7 +29,16 @@ from typing import Iterable, Sequence
 
 from .errors import ParseError
 
-_RATIONAL_RE = re.compile(r"(-?\d+)(?:/(\d+))?")
+_INT_RE = re.compile(r"-?[0-9]+")
+_RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
+def _parse_int(text: str, lineno: int, message: str) -> int:
+    """``text`` as an ``int`` if it is ``-?[0-9]+``, else a ParseError; ``int``
+    alone would also take ``+``, ``_`` and non-ASCII digits."""
+    if _INT_RE.fullmatch(text) is None:
+        raise ParseError(lineno, message)
+    return int(text)
 
 
 def parse_rational(text: str) -> Fraction:
@@ -192,11 +201,9 @@ def parse_graph(text: str) -> WeightedDigraph:
                 raise ParseError(lineno, "duplicate p header")
             if len(fields) != 3:
                 raise ParseError(lineno, "p header needs node and arc counts")
-            try:
-                node_count = int(fields[1])
-                declared_arcs = int(fields[2])
-            except ValueError:
-                raise ParseError(lineno, "p header counts must be integers") from None
+            counts = "p header counts must be integers"
+            node_count = _parse_int(fields[1], lineno, counts)
+            declared_arcs = _parse_int(fields[2], lineno, counts)
             if node_count < 1:
                 raise ParseError(lineno, "node count must be positive")
             if declared_arcs < 0:
@@ -207,11 +214,9 @@ def parse_graph(text: str) -> WeightedDigraph:
                 raise ParseError(lineno, "arc before p header")
             if len(fields) != 4:
                 raise ParseError(lineno, "arc line needs tail, head, weight")
-            try:
-                tail = int(fields[1])
-                head = int(fields[2])
-            except ValueError:
-                raise ParseError(lineno, "arc endpoints must be integers") from None
+            endpoints = "arc endpoints must be integers"
+            tail = _parse_int(fields[1], lineno, endpoints)
+            head = _parse_int(fields[2], lineno, endpoints)
             if not (1 <= tail <= node_count):
                 raise ParseError(lineno, f"tail {tail} out of range 1..{node_count}")
             if not (1 <= head <= node_count):
@@ -254,10 +259,7 @@ def parse_arc_vector(text: str, arc_count: int) -> ArcVector:
         fields = line.split()
         if fields[0] != "e" or len(fields) != 3:
             raise ParseError(lineno, "expected 'e <arc_id> <rational>'")
-        try:
-            arc_id = int(fields[1])
-        except ValueError:
-            raise ParseError(lineno, "arc id must be an integer") from None
+        arc_id = _parse_int(fields[1], lineno, "arc id must be an integer")
         if not (0 <= arc_id < arc_count):
             raise ParseError(lineno, f"arc id {arc_id} out of range 0..{arc_count - 1}")
         if arc_id in seen:

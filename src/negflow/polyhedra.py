@@ -2,12 +2,13 @@
 
 The oracle runs the double-description method (Motzkin et al. 1953; Fukuda
 & Prodon 1996) on exact integer rays, with no floating point and no
-tolerance anywhere. An H-representation holds integer rows, its weight row
-scaled once by the LCM of the weight denominators. One fraction-free pivot
-serves the oracle's nullspace, the vertex certifier and phase 1. Line
-rewrites and adjacency scans are charged against one work budget. The
-oracle is deliberately independent of the cycle-based characterization it
-is used to validate.
+tolerance anywhere. One run yields a polyhedron's vertices and its extreme
+directions (on P, the vertices of P'). An H-representation holds integer
+rows, its weight row scaled once by the LCM of the weight denominators. One
+fraction-free pivot serves the oracle's nullspace, the vertex certifier and
+phase 1. Line rewrites and adjacency scans are charged against one work
+budget. The oracle is deliberately independent of the cycle-based
+characterization it is used to validate.
 """
 from __future__ import annotations
 
@@ -19,12 +20,12 @@ from .errors import CapExceeded, NegflowError
 from .graph import ArcVector, WeightedDigraph, _scaled, sorted_points
 
 # Work units: 1 per vector a line step rewrites (the flipped line counted)
-# plus 1 per ray each pair test's adjacency scan reads. The seed-1
-# `verify-oracle` benchmark pool (m <= 10) peaks at 859 units per
-# H-representation; the first 40 8-node, 20-arc graphs of the seed-1
-# `directions-dense` pool at 169,785, so 20-arc graphs fit this cap. The
-# method spends about 14 M units per second (2-core x86 VM, Python 3.11),
-# so the default cap ends a run within a tenth of a second.
+# plus 1 per ray each pair test's adjacency scan reads. The one run on P
+# peaks at 447 units on the seed-1 `verify-oracle` benchmark pool (m <= 10)
+# and at 23,633 on all 720 8-node, 20-arc graphs of the seed-1
+# `directions-dense` pool, so 20-arc graphs fit this cap. The method spends
+# about 14 M units per second (2-core x86 VM, Python 3.11), so the default
+# cap ends a run within a tenth of a second.
 DEFAULT_ORACLE_CAP = 2**20
 
 
@@ -46,11 +47,11 @@ class HRep:
 
 @dataclass(frozen=True)
 class VertexSet:
-    """Sorted, duplicate-free vertex list; ``polyhedron_empty`` is the
-    independent feasibility verdict when produced by the oracle."""
+    """Sorted, duplicate-free vertex list; the oracle also fills ``directions``,
+    the recession cone's extreme rays scaled to entry sum 1, sorted alike."""
 
     points: tuple[ArcVector, ...]
-    polyhedron_empty: bool | None = None
+    directions: tuple[ArcVector, ...] = ()
 
 
 class _Budget:
@@ -76,12 +77,13 @@ def build_P(g: WeightedDigraph) -> HRep:
 
 
 def build_P_prime(g: WeightedDigraph) -> HRep:
-    """Flow conservation, total weight = 0, entries summing to 1."""
-    weights, _ = _scaled([arc.weight for arc in g.arcs])
-    rows = _flow_rows(g)
-    rows.append((*weights, 0))
-    rows.append((1,) * (g.arc_count + 1))
-    return HRep(g.arc_count, tuple(rows))
+    """P's recession slice: flow conservation, weight 0, entries summing to 1."""
+    return HRep(g.arc_count, _recession_slice(build_P(g)))
+
+
+def _recession_slice(h: HRep) -> tuple[tuple[int, ...], ...]:
+    """The rows with right-hand side 0, plus entries summing to 1."""
+    return (*((*row[:-1], 0) for row in h.rows), (1,) * (h.dimension + 1))
 
 
 def _flow_rows(g: WeightedDigraph) -> list[tuple[int, ...]]:
@@ -145,21 +147,23 @@ def _combine(a: int, v: list[int], b: int, w: list[int]) -> list[int]:
 
 
 def oracle_vertices(h: HRep, cap: int = DEFAULT_ORACLE_CAP) -> VertexSet:
-    """All vertices by the double-description method on integer rays.
+    """Vertices and extreme directions by double description on integer rays.
 
     The extreme rays of the cone ``{(y, t): A y - t b = 0, y >= 0, t >= 0}``
-    with ``t > 0`` are the vertices ``y / t``. Starting from a nullspace
-    basis of ``[A | -b]`` as lines, the inequalities ``y_0, ..., y_{m-1}, t
-    >= 0`` are added one at a time, each ray keeping the mask of those it
-    meets with equality. A line nonzero on the new inequality is oriented
-    positive there, cancels that coordinate in every other vector and
-    becomes a ray. Otherwise the rays negative there are dropped, and each
-    (positive, negative) pair whose common mask lies in no third ray's mask
-    adds its combination that is zero there. The ``"oracle work"`` budget
-    is charged 1 per vector a line step rewrites and 1 per ray an adjacency
-    scan reads. The ``polyhedron_empty`` flag comes from an independent
-    exact phase-1 simplex and is cross-checked against vertex existence
-    (the polyhedra here are pointed, so the two must agree).
+    with ``t > 0`` are the vertices ``y / t``; those with ``t = 0`` are the
+    recession cone's, divided by their entry sums into ``directions``.
+    Starting from a nullspace basis of ``[A | -b]`` as lines, the
+    inequalities ``y_0, ..., y_{m-1}, t >= 0`` are added one at a time, each
+    ray keeping the mask of those it meets with equality. A line nonzero on
+    the new inequality is oriented positive there, cancels that coordinate
+    in every other vector and becomes a ray. Otherwise the rays negative
+    there are dropped, and each (positive, negative) pair whose common mask
+    lies in no third ray's mask adds its combination that is zero there. The
+    ``"oracle work"`` budget is charged 1 per vector a line step rewrites
+    and 1 per ray an adjacency scan reads. Exact phase 1 cross-checks both
+    sets, or raises `NegflowError`: the rows are feasible iff there is a
+    vertex (``y >= 0`` makes the polyhedron pointed), the recession slice
+    iff a direction.
     """
     if cap < 1:
         raise ValueError("cap must be positive")
@@ -212,17 +216,18 @@ def oracle_vertices(h: HRep, cap: int = DEFAULT_ORACLE_CAP) -> VertexSet:
                     kept.append((_combine(p[i], q, q[i], p), common | bit))
                 budget.spend(read)
         rays = kept
-    points = [
-        ArcVector.from_ints(m, v[m], [(j, x) for j, x in enumerate(v[:m]) if x])
-        for v, _ in rays
-        if v[m]
-    ]
-    empty = not _phase1_feasible(h.rows, m)
-    if empty != (not points):
-        raise NegflowError(
-            "feasibility flag contradicts vertex enumeration on a pointed polyhedron"
-        )
-    return VertexSet(sorted_points(points), polyhedron_empty=empty)
+    points, directions = [], []
+    for v, _ in rays:
+        items = [(j, x) for j, x in enumerate(v[:m]) if x]
+        if v[m]:
+            points.append(ArcVector.from_ints(m, v[m], items))
+        else:
+            directions.append(ArcVector.from_ints(m, sum(v[:m]), items))
+    if _phase1_feasible(h.rows, m) != bool(points):
+        raise NegflowError("phase 1 contradicts the vertex enumeration")
+    if _phase1_feasible(_recession_slice(h), m) != bool(directions):
+        raise NegflowError("phase 1 contradicts the direction enumeration")
+    return VertexSet(sorted_points(points), sorted_points(directions))
 
 
 def oracle_certifies_vertex(h: HRep, y: ArcVector) -> bool:

@@ -18,7 +18,7 @@ from fractions import Fraction
 from .characterize import _bool
 from .cycles import Cycle, make_cycle
 from .errors import CapExceeded, NegflowError, ParseError
-from .graph import Arc, ArcVector, WeightedDigraph, characteristic_vector
+from .graph import Arc, ArcVector, WeightedDigraph, _parse_int, characteristic_vector
 
 MAX_SAT_VARIABLES = 24
 
@@ -110,21 +110,16 @@ def parse_dimacs_cnf(text: str) -> CnfFormula:
             fields = line.split()
             if len(fields) != 4 or fields[1] != "cnf":
                 raise ParseError(lineno, "expected 'p cnf <vars> <clauses>'")
-            try:
-                variable_count = int(fields[2])
-                declared_clauses = int(fields[3])
-            except ValueError:
-                raise ParseError(lineno, "header counts must be integers") from None
+            counts = "header counts must be integers"
+            variable_count = _parse_int(fields[2], lineno, counts)
+            declared_clauses = _parse_int(fields[3], lineno, counts)
             if variable_count < 0 or declared_clauses < 0:
                 raise ParseError(lineno, "header counts must be nonnegative")
             continue
         if variable_count is None:
             raise ParseError(lineno, "clause data before p header")
         for token in line.split():
-            try:
-                lit = int(token)
-            except ValueError:
-                raise ParseError(lineno, f"bad literal {token!r}") from None
+            lit = _parse_int(token, lineno, f"bad literal {token!r}")
             if lit == 0:
                 if not current:
                     raise ParseError(lineno, "empty clause")

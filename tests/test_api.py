@@ -10,6 +10,9 @@ TEST_REFERENCES = {
     # Brute-force SAT: the reference that `decide`'s certificate verdict is
     # checked against.
     "brute_force_sat",
+    # P' as its own H-representation: the separate-run reference for the
+    # directions that `oracle_vertices` reads off P's run (its `t = 0` rays).
+    "build_P_prime",
     # The textbook vertex test on one point (feasible, support columns
     # independent): checks the cycle-built vertices and directions one by
     # one, and rejects non-vertex midpoints.

@@ -28,7 +28,9 @@ def test_parse_rational_lowest_terms() -> None:
     assert parse_rational("0/7") == 0
 
 
-@pytest.mark.parametrize("bad", ["3/-2", "1.5", "", "/2", "2/", "a", "1/2/3", "+3"])
+@pytest.mark.parametrize(
+    "bad", ["3/-2", "1.5", "", "/2", "2/", "a", "1/2/3", "+3", "\u0661", "1/\u0662"]
+)
 def test_parse_rational_rejects(bad: str) -> None:
     with pytest.raises(ValueError):
         parse_rational(bad)
@@ -75,6 +77,11 @@ def test_parse_zero_denominator_names_line() -> None:
         ("p 2 1\na 1 2\n", 2, "needs tail"),
         ("p 2\n", 1, "needs node and arc"),
         ("", 1, "missing p header"),
+        # Only ASCII digits, with no sign but '-' and no '_' separators.
+        ("p 2 1\na 1 2 \u0661\n", 2, "malformed rational"),
+        ("p \u0663 1\na 1 2 0\n", 1, "must be integers"),
+        ("p 1_0 0\n", 1, "must be integers"),
+        ("p 2 1\na +1 2 0\n", 2, "must be integers"),
     ],
 )
 def test_parse_errors(text: str, line: int, fragment: str) -> None:
@@ -192,6 +199,10 @@ def test_arc_vector_parse_errors() -> None:
         parse_arc_vector("e 5 1\n", 2)
     with pytest.raises(ParseError, match="expected 'e"):
         parse_arc_vector("x 0 1\n", 2)
+    for bad_id in ("\u0661", "+1", "0_1"):
+        with pytest.raises(ParseError, match="must be an integer") as exc:
+            parse_arc_vector(f"c ids\ne {bad_id} 1\n", 2)
+        assert exc.value.line_number == 2
 
 
 def test_positive_flow_stays_within_one_component() -> None:

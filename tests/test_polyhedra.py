@@ -8,10 +8,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from negflow import polyhedra
 from negflow.errors import CapExceeded, NegflowError
 from negflow.generators import gen_random
 from negflow.graph import Arc, ArcVector, WeightedDigraph, _scaled, parse_graph
 from negflow.polyhedra import (
+    DEFAULT_ORACLE_CAP,
     HRep,
     VertexSet,
     _phase1_feasible,
@@ -23,6 +25,7 @@ from negflow.polyhedra import (
 
 TRIANGLE = parse_graph("p 3 3\na 1 2 -1\na 2 3 -1\na 3 1 -1\n")
 DIGON = parse_graph("p 2 2\na 1 2 -1/2\na 2 1 -1/2\n")
+ZERO_TRIANGLE = parse_graph("p 3 3\na 1 2 1\na 2 3 -1\na 3 1 0\n")
 
 
 def vec(*vals) -> ArcVector:
@@ -83,14 +86,14 @@ def test_hrep_rejects_fraction_entries() -> None:
 def test_digon_unique_feasible_point() -> None:
     result = oracle_vertices(build_P(DIGON), 100)
     assert [p.entries for p in result.points] == [(1, 1)]
-    assert result.polyhedron_empty is False
+    assert result.directions == ()
 
 
 def test_empty_graph_infeasible() -> None:
     g = WeightedDigraph(1, ())
     result = oracle_vertices(build_P(g), 100)
     assert result.points == ()
-    assert result.polyhedron_empty is True
+    assert result.directions == ()
 
 
 def test_triangle_vertex_set() -> None:
@@ -116,22 +119,24 @@ def test_all_positive_graph_is_empty() -> None:
     g = parse_graph("p 3 3\na 1 2 1\na 2 3 1\na 3 1 1\n")
     result = oracle_vertices(build_P(g), 100)
     assert result.points == ()
-    assert result.polyhedron_empty is True
+    assert result.directions == ()
 
 
 def test_prime_zero_triangle() -> None:
-    g = parse_graph("p 3 3\na 1 2 1\na 2 3 -1\na 3 1 0\n")
-    result = oracle_vertices(build_P_prime(g), 100)
-    assert [p.entries for p in result.points] == [
+    # P is empty, but its recession cone holds the zero triangle.
+    result = oracle_vertices(build_P(ZERO_TRIANGLE), 100)
+    assert result.points == ()
+    assert [p.entries for p in result.directions] == [
         (Fraction(1, 3), Fraction(1, 3), Fraction(1, 3))
     ]
-    assert result.polyhedron_empty is False
+    separate = oracle_vertices(build_P_prime(ZERO_TRIANGLE), 100)
+    assert separate.points == result.directions
 
 
 def test_prime_single_negative_cycle_is_empty() -> None:
     result = oracle_vertices(build_P_prime(TRIANGLE), 100)
     assert result.points == ()
-    assert result.polyhedron_empty is True
+    assert oracle_vertices(build_P(TRIANGLE), 100).directions == ()
 
 
 def test_prime_disjoint_opposite_triangles() -> None:
@@ -145,10 +150,10 @@ def test_prime_disjoint_opposite_triangles() -> None:
 def test_oracle_cap() -> None:
     # With no equalities the starting lines are the 31 coordinate axes, each
     # positive on its own inequality: 31 line steps that rewrite nothing, so
-    # 0 units, and the one vertex of the orthant, the origin.
+    # 0 units, the one vertex of the orthant, the origin, and its 30 edges.
     result = oracle_vertices(HRep(30, ()), 1)
     assert [p.entries for p in result.points] == [(0,) * 30]
-    assert result.polyhedron_empty is False
+    assert {d.items for d in result.directions} == {((j, 1),) for j in range(30)}
     # An 8-node, 30-arc graph that needs 1,141,647 units: the cap aborts it
     # loudly instead of returning the vertices found so far.
     with pytest.raises(CapExceeded) as exc:
@@ -212,10 +217,10 @@ RATIONAL_WEIGHTS = _arcs(
 
 
 # The oracle cap bounds line rewrites plus adjacency-scan reads. For the
-# strategy above (<= 4 nodes, <= 7 arcs) neither 100,000 random draws nor
-# a hill-climbing search over 12,000 more graphs found one above 285 units
-# for P or P', nor 100,000 `hreps()` draws one above 51: this cap leaves 7x
-# headroom over the largest draw seen.
+# strategy above (<= 4 nodes, <= 7 arcs) 100,000 random draws found no run
+# on P above 280 units; an earlier hill-climbing search over 12,000 more
+# graphs found none above 285 for P or P'. Nor did 100,000 `hreps()` draws
+# find one above 51: this cap leaves 7x headroom over the largest seen.
 STRATEGY_ORACLE_CAP = 2**11
 
 
@@ -243,12 +248,14 @@ def test_oracle_work_cap() -> None:
 @example(LOOPY_MULTIGRAPH)
 @example(RATIONAL_WEIGHTS)
 def test_oracle_vertices_are_feasible_and_certified(g: WeightedDigraph) -> None:
-    h = build_P(g)
+    h, prime = build_P(g), build_P_prime(g)
     result = oracle_vertices(h, STRATEGY_ORACLE_CAP)
-    assert result.polyhedron_empty is (not result.points) or not result.polyhedron_empty
     for point in result.points:
         assert feasible(h, point)
         assert oracle_certifies_vertex(h, point)
+    for direction in result.directions:
+        assert feasible(prime, direction)
+        assert oracle_certifies_vertex(prime, direction)
     # A midpoint of two vertices is feasible, but its support holds both
     # vertices' supports, so its columns are dependent.
     for a, b in combinations(result.points, 2):
@@ -257,25 +264,34 @@ def test_oracle_vertices_are_feasible_and_certified(g: WeightedDigraph) -> None:
         assert not oracle_certifies_vertex(h, mid)
 
 
-@settings(max_examples=40, deadline=None)
-@given(graphs())
-@example(LOOPY_MULTIGRAPH)
-@example(RATIONAL_WEIGHTS)
-def test_oracle_empty_flag_matches_vertex_existence(g: WeightedDigraph) -> None:
-    # Flow polyhedra with y >= 0 are pointed, so feasibility and having
-    # at least one vertex coincide.
-    result = oracle_vertices(build_P(g), STRATEGY_ORACLE_CAP)
-    assert result.polyhedron_empty == (len(result.points) == 0)
+# P of TRIANGLE has a vertex and no direction, P of ZERO_TRIANGLE the
+# reverse: each lie turns one phase-1 verdict, once each way.
+@pytest.mark.parametrize("g", [TRIANGLE, ZERO_TRIANGLE])
+@pytest.mark.parametrize("lie_about", ["vertex", "direction"])
+def test_oracle_raises_when_phase1_contradicts_it(
+    monkeypatch: pytest.MonkeyPatch, g: WeightedDigraph, lie_about: str
+) -> None:
+    slice_rows = build_P_prime(g).rows
+    honest = polyhedra._phase1_feasible
+
+    def lying(rows, n: int) -> bool:
+        verdict = honest(rows, n)
+        about = "direction" if tuple(rows) == slice_rows else "vertex"
+        return not verdict if about == lie_about else verdict
+
+    monkeypatch.setattr(polyhedra, "_phase1_feasible", lying)
+    with pytest.raises(NegflowError, match=f"contradicts the {lie_about}"):
+        oracle_vertices(build_P(g), 100)
 
 
 def test_rational_weights_example() -> None:
     h = build_P(RATIONAL_WEIGHTS)
     assert h.rows[-1] == (4, -6, 9, -6, -12)
+    result = oracle_vertices(h, 2**8)
     # The digon weighs -1/6, so its vertex is 6 * chi(digon).
-    assert [p.entries for p in oracle_vertices(h, 2**8).points] == [(6, 0, 0, 6)]
+    assert [p.entries for p in result.points] == [(6, 0, 0, 6)]
     # mu * (-1/6) + mu' * 7/12 = 0 and 2 mu + 3 mu' = 1: mu' = 1/10, mu = 7/20.
-    directions = oracle_vertices(build_P_prime(RATIONAL_WEIGHTS), 2**8).points
-    assert [p.entries for p in directions] == [
+    assert [p.entries for p in result.directions] == [
         (Fraction(9, 20), Fraction(1, 10), Fraction(1, 10), Fraction(7, 20))
     ]
 
@@ -520,7 +536,7 @@ def _support_is_plausible(s: int, masks: list[tuple[int, int, int]]) -> bool:
     return True
 
 
-def _reference_oracle_vertices(h: HRep) -> VertexSet:
+def _reference_oracle_vertices(h: HRep) -> tuple[ArcVector, ...]:
     m = h.dimension
     masks = _sign_masks(h)
     points: list[ArcVector] = []
@@ -532,7 +548,18 @@ def _reference_oracle_vertices(h: HRep) -> VertexSet:
         if status == "unique" and all(v > 0 for v in values):
             points.append(_on_support(m, support, values))
     points.sort(key=lambda p: p.entries)
-    return VertexSet(tuple(points), polyhedron_empty=not _reference_phase1(h))
+    return tuple(points)
+
+
+def _matches_reference(h: HRep, prime: HRep, cap: int) -> bool:
+    """The oracle's vertices of ``h`` are the reference's, and its
+    directions are the reference's vertices of the recession slice
+    ``prime``."""
+    result = oracle_vertices(h, cap)
+    return (result.points, result.directions) == (
+        _reference_oracle_vertices(h),
+        _reference_oracle_vertices(prime),
+    )
 
 
 # y_0 + y_1 = 1: the first nullspace line is (-1, 1, 0), so the oracle must
@@ -555,11 +582,12 @@ NO_COLUMNS = HRep(0, ())
 @example(NO_COLUMNS)
 def test_oracle_matches_support_enumeration(case: HRep | WeightedDigraph) -> None:
     if isinstance(case, HRep):
-        reps = [case]
+        # The recession slice: right-hand sides 0, entries summing to 1.
+        rows = (*((*r[:-1], 0) for r in case.rows), (1,) * (case.dimension + 1))
+        h, prime = case, HRep(case.dimension, rows)
     else:
-        reps = [build_P(case), build_P_prime(case)]
-    for h in reps:
-        assert oracle_vertices(h, STRATEGY_ORACLE_CAP) == _reference_oracle_vertices(h)
+        h, prime = build_P(case), build_P_prime(case)
+    assert _matches_reference(h, prime, STRATEGY_ORACLE_CAP)
 
 
 def test_oracle_matches_support_enumeration_on_corpus(
@@ -568,7 +596,6 @@ def test_oracle_matches_support_enumeration_on_corpus(
     mismatches = [
         idx
         for idx, g in enumerate(graph_corpus)
-        for h in (build_P(g), build_P_prime(g))
-        if oracle_vertices(h) != _reference_oracle_vertices(h)
+        if not _matches_reference(build_P(g), build_P_prime(g), DEFAULT_ORACLE_CAP)
     ]
     assert mismatches == []

@@ -133,6 +133,25 @@ def test_parse_errors(text: str, fragment: str) -> None:
         parse_dimacs_cnf(text)
 
 
+@pytest.mark.parametrize(
+    "text, line, fragment",
+    [
+        # Only ASCII digits, with no sign but '-' and no '_' separators.
+        ("p cnf 1_0 1\n1 0\n", 1, "header counts must be integers"),
+        ("p cnf \u0661 1\n1 0\n", 1, "header counts must be integers"),
+        ("p cnf 2 1\n\u0661 0\n", 2, "bad literal"),
+        ("p cnf 2 1\n1 +2 0\n", 2, "bad literal"),
+        ("p cnf 2 1\n1_0 0\n", 2, "bad literal"),
+    ],
+)
+def test_parse_rejects_integers_beyond_ascii_digits(
+    text: str, line: int, fragment: str
+) -> None:
+    with pytest.raises(ParseError, match=fragment) as exc:
+        parse_dimacs_cnf(text)
+    assert exc.value.line_number == line
+
+
 def test_formula_validation() -> None:
     with pytest.raises(ValueError):
         CnfFormula(1, ((),))
