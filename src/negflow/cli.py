@@ -123,29 +123,36 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cycle_cap(args: argparse.Namespace) -> int:
-    if args.max_cycles < 1:
-        raise ValueError("cycle cap must be positive")
-    return args.max_cycles
+def _read_text(path: Path) -> str:
+    """The file decoded as UTF-8. Bytes that are not raise a ParseError on
+    the line ``str.splitlines`` puts them on, as the parsers count lines."""
+    data = path.read_bytes()
+    try:
+        return data.decode()
+    except UnicodeDecodeError as exc:
+        line = len((data[: exc.start].decode() + "x").splitlines())
+        raise ParseError(line, "not UTF-8 text") from None
 
 
 def _run(args: argparse.Namespace) -> int:
+    if "graph" in args:
+        g = parse_graph(_read_text(args.graph))
+    if "cnf" in args:
+        formula = parse_dimacs_cnf(_read_text(args.cnf))
+    if "max_cycles" in args and args.max_cycles < 1:
+        raise ValueError("cycle cap must be positive")
     if args.command == "vertices":
-        g = parse_graph(args.graph.read_text())
-        cycles = enumerate_cycles(g, _cycle_cap(args))
+        cycles = enumerate_cycles(g, args.max_cycles)
         for point in vertices_from_negative_cycles(g, cycles).points:
             print(format_tagged_point("v", point))
         return 0
     if args.command == "directions":
-        g = parse_graph(args.graph.read_text())
-        cap = _cycle_cap(args)
-        cycles = enumerate_cycles(g, cap)
-        two_cycles = enumerate_two_cycles(g, cycles, cap)
+        cycles = enumerate_cycles(g, args.max_cycles)
+        two_cycles = enumerate_two_cycles(g, cycles, args.max_cycles)
         for point in directions_from_cycles(g, cycles, two_cycles).points:
             print(format_tagged_point("d", point))
         return 0
     if args.command == "oracle":
-        g = parse_graph(args.graph.read_text())
         result = oracle_vertices(build_P(g), args.max_oracle)
         points = result.directions if args.prime else result.points
         if not points:
@@ -155,18 +162,15 @@ def _run(args: argparse.Namespace) -> int:
             print(format_tagged_point(tag, point))
         return 0
     if args.command == "verify":
-        g = parse_graph(args.graph.read_text())
-        report = verify_theorem1(g, _cycle_cap(args), args.max_oracle)
+        report = verify_theorem1(g, args.max_cycles, args.max_oracle)
         print(report.to_text(), end="")
         return 0 if report.all_match else 1
     if args.command == "decompose":
-        g = parse_graph(args.graph.read_text())
-        vector = parse_arc_vector(args.vector.read_text(), g.arc_count)
+        vector = parse_arc_vector(_read_text(args.vector), g.arc_count)
         for cycle, coeff in decompose_circulation(g, vector).terms:
             print(f"t {coeff} : {format_cycle(cycle)}")
         return 0
     if args.command == "reduce":
-        formula = parse_dimacs_cnf(args.cnf.read_text())
         art = build_reduction(formula)
         comments = [
             f"reduction: {formula.variable_count} variables, "
@@ -191,8 +195,7 @@ def _run(args: argparse.Namespace) -> int:
             args.emit_x.write_text("\n".join(lines) + "\n" if lines else "")
         return 0
     if args.command == "decide":
-        formula = parse_dimacs_cnf(args.cnf.read_text())
-        report = decide_ve01(formula, _cycle_cap(args))
+        report = decide_ve01(formula, args.max_cycles)
         print(report.to_text(), end="")
         return 0
     if args.command == "gen":

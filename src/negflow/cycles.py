@@ -3,15 +3,14 @@
 A cycle is a sequence of arcs that visits no node twice; it is stored in
 canonical rotation (starting at its smallest arc id) so equal cycles compare
 equal. Self-loops are cycles of length 1; parallel arcs yield distinct
-cycles over the same node sequence.
+cycles over the same node sequence. Johnson's blocked search on arcs lists
+them in O((n + m)(c + 1)) time for c cycles, with no strong-component pass.
 """
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import product
 from typing import Iterator, Sequence
 
 from .errors import CapExceeded, NotACirculation
@@ -75,100 +74,51 @@ def make_cycle(g: WeightedDigraph, arc_seq: Sequence[int]) -> Cycle:
     return Cycle(_canonical(arc_seq), Fraction(sum(ints), scale))
 
 
-def _unblock(node: int, blocked: set[int], blocked_by: dict[int, set[int]]) -> None:
-    pending = {node}
-    while pending:
-        v = pending.pop()
-        if v in blocked:
-            blocked.remove(v)
-            pending |= blocked_by[v]
-            blocked_by[v].clear()
-
-
-def _node_cycles_from(
-    start: int, succ: dict[int, tuple[int, ...]]
-) -> Iterator[list[int]]:
-    """All simple node cycles through ``start`` within one SCC (Johnson)."""
-    path = [start]
-    blocked = {start}
-    closed: set[int] = set()
-    blocked_by: dict[int, set[int]] = defaultdict(set)
-    stack: list[tuple[int, Iterator[int]]] = [(start, iter(succ[start]))]
-    while stack:
-        node, nbrs = stack[-1]
-        for nxt in nbrs:
-            if nxt == start:
-                yield path[:]
-                closed.update(path)
-            elif nxt not in blocked:
-                path.append(nxt)
-                closed.discard(nxt)
-                blocked.add(nxt)
-                stack.append((nxt, iter(succ[nxt])))
-                break
-        else:
-            if node in closed:
-                _unblock(node, blocked, blocked_by)
-            else:
-                for nbr in succ[node]:
-                    blocked_by[nbr].add(node)
-            stack.pop()
-            path.pop()
-
-
 def _iter_arc_cycles(g: WeightedDigraph) -> Iterator[tuple[int, ...]]:
-    """Yield every simple cycle as an arc-id tuple in traversal order.
+    """Yield every simple cycle once, as arc ids in traversal order.
 
-    Each cycle is produced exactly once; no ordering guarantee (callers
-    sort canonical forms).
+    Johnson's blocked search, run on arcs: from each start node ``s`` with an
+    out-arc, in increasing order, follow arcs to nodes above ``s``; an arc
+    into ``s`` closes a cycle. A node left without closing one stays blocked
+    until a node it has an arc to is unblocked, so a node that cannot get
+    back to ``s`` stays blocked from its first visit on. That bounds the
+    walk by O((n + m)(c + 1)) for c cycles without a strong-component pass.
+    No ordering guarantee: callers sort canonical forms.
     """
-    arcmap: dict[int, dict[int, list[int]]] = {}
-    loops: list[int] = []
-    for i, arc in enumerate(g.arcs):
-        if arc.tail == arc.head:
-            loops.append(i)
-        else:
-            arcmap.setdefault(arc.tail, {}).setdefault(arc.head, []).append(i)
-    for i in loops:
-        yield (i,)
-    nodes = sorted(arcmap.keys())
-    for start in nodes:
-        # Cycles whose minimal node is `start` live in the SCC of `start`
-        # within the subgraph induced on nodes >= start.
-        fwd = {start}
-        frontier = [start]
-        while frontier:
-            v = frontier.pop()
-            for w in arcmap.get(v, {}):
-                if w >= start and w not in fwd:
-                    fwd.add(w)
-                    frontier.append(w)
-        pred: dict[int, list[int]] = defaultdict(list)
-        for u, heads in arcmap.items():
-            if u >= start:
-                for w in heads:
-                    pred[w].append(u)
-        bwd = {start}
-        frontier = [start]
-        while frontier:
-            v = frontier.pop()
-            for u in pred[v]:
-                if u not in bwd:
-                    bwd.add(u)
-                    frontier.append(u)
-        scc = fwd & bwd
-        succ = {
-            v: tuple(w for w in sorted(arcmap.get(v, {})) if w in scc)
-            for v in sorted(scc)
-        }
-        if not succ.get(start):
-            continue
-        for node_path in _node_cycles_from(start, succ):
-            hops = [
-                arcmap[u][w] for u, w in zip(node_path, node_path[1:] + [start])
-            ]
-            for combo in product(*hops):
-                yield combo
+    succ: dict[int, list[tuple[int, int]]] = {}
+    for arc in g.arcs:
+        succ.setdefault(arc.tail, []).append((arc.arc_id, arc.head))
+    for start in sorted(succ):
+        blocked = {start}
+        closed: set[int] = set()  # path nodes a cycle has closed through
+        blocked_by: dict[int, set[int]] = {}
+        path: list[int] = []
+        stack = [(start, iter(succ[start]))]
+        while stack:
+            node, out = stack[-1]
+            for arc_id, head in out:
+                if head == start:
+                    yield (*path, arc_id)
+                    closed.update(v for v, _ in stack)
+                elif head > start and head not in blocked:
+                    path.append(arc_id)
+                    blocked.add(head)
+                    closed.discard(head)
+                    stack.append((head, iter(succ.get(head, ()))))
+                    break
+            else:
+                stack.pop()
+                del path[-1:]  # the arc into ``node``; ``start`` has none
+                if node in closed:
+                    pending = {node}
+                    while pending:
+                        v = pending.pop()
+                        if v in blocked:
+                            blocked.remove(v)
+                            pending |= blocked_by.pop(v, set())
+                else:
+                    for _, head in succ.get(node, ()):
+                        blocked_by.setdefault(head, set()).add(node)
 
 
 def enumerate_cycles(g: WeightedDigraph, cap: int) -> tuple[Cycle, ...]:

@@ -253,7 +253,9 @@ def _phase1_feasible(rows: Sequence[Sequence[int]], n: int) -> bool:
 
     The tableau stays integer under the fraction-free `_pivot`. Every pivot
     is positive, so each entry keeps the sign of its rational counterpart,
-    and ratios are compared by cross-multiplication."""
+    and ratios are compared by cross-multiplication. Rows ``0 = 0``, one per
+    isolated node, are dropped: each would cost an artificial column."""
+    rows = [row for row in rows if any(row)]
     m = len(rows)
     if m == 0:
         return True

@@ -1,10 +1,11 @@
 """Shared pytest hooks and fixtures: the criterion-1 graph corpus, a
-counter of calls into fractions.py, and acceptance verdicts collected for a
-summary."""
+counter of calls into fractions.py, a traced memory peak, and acceptance
+verdicts collected for a summary."""
 from __future__ import annotations
 
 import fractions
 import sys
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -50,6 +51,24 @@ def fraction_calls():
     """``fraction_calls(fn)`` runs ``fn`` and returns its result with a
     Counter of its calls into fractions.py by function name."""
     return _fraction_calls
+
+
+def _peak_bytes(fn):
+    """Run ``fn``; return its result and the peak of memory that
+    ``tracemalloc`` traced while it ran."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture
+def peak_bytes():
+    """``peak_bytes(fn)`` runs ``fn`` and returns its result with the peak
+    of traced memory in bytes."""
+    return _peak_bytes
 
 
 def record_criterion(number: int, passed: bool, detail: str) -> None:

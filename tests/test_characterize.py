@@ -124,6 +124,15 @@ def test_verify_fig3_k2_counts() -> None:
     assert report.zero_cycles == 0
 
 
+def test_verify_on_isolated_nodes_stays_small(peak_bytes) -> None:
+    # 4,999 isolated nodes and a loop: every flow row is 0 = 0. Phase 1 with
+    # an artificial column per row would build a 5,000 x 10,000 tableau.
+    g = parse_graph("p 5000 1\na 1 1 -1\n")
+    report, peak = peak_bytes(lambda: verify_theorem1(g))
+    assert report.all_match
+    assert peak < 10 * 2**20
+
+
 def _count_calls(monkeypatch: pytest.MonkeyPatch) -> dict[str, list]:
     """Wrap enumerate_cycles, is_two_cycle and the Johnson walk at every
     negflow name bound to them, recording the arguments of each call."""

@@ -314,6 +314,31 @@ def test_parse_error_exits_2(tmp_path: Path, capsys: pytest.CaptureFixture[str])
     assert "out of range" in capsys.readouterr().err
 
 
+# One file of each kind: a graph, an arc vector after a good graph (with
+# CRLF line ends), and a CNF whose comment holds a Latin-1 byte.
+@pytest.mark.parametrize(
+    "argv, data, line",
+    [
+        (["verify"], b"p 3 3\na 1 2 -1\n\xff\na 3 1 -1\n", 3),
+        (["decompose", "TRIANGLE"], b"e 0 1\r\ne 1 1\r\n\xff 2\n", 3),
+        (["decide"], b"p cnf 1 1\nc caf\xe9\n1 0\n", 2),
+    ],
+)
+def test_non_utf8_input_exits_2_with_its_line(
+    tmp_path: Path,
+    triangle: Path,
+    capsys: pytest.CaptureFixture[str],
+    argv: list[str],
+    data: bytes,
+    line: int,
+) -> None:
+    bad = tmp_path / "bad"
+    bad.write_bytes(data)
+    argv = [str(triangle) if arg == "TRIANGLE" else arg for arg in argv]
+    assert main([*argv, str(bad)]) == 2
+    assert capsys.readouterr().err == f"error: line {line}: not UTF-8 text\n"
+
+
 def test_cap_exceeded_exits_3(fig3: Path, capsys: pytest.CaptureFixture[str]) -> None:
     assert main(["vertices", str(fig3), "--max-cycles", "2"]) == 3
     err = capsys.readouterr().err

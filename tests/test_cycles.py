@@ -4,6 +4,7 @@ The independent oracle here is a plain backtracking enumerator
 (`brute_cycles`), structurally unrelated to the blocked-search
 implementation under test; networkx cross-checks node cycles.
 """
+import random
 from fractions import Fraction
 from typing import Sequence
 
@@ -159,6 +160,44 @@ def test_enumeration_matches_backtracking_oracle(g: WeightedDigraph) -> None:
     assert list(got) == sorted(got, key=lambda c: c.arc_ids)
     for c in got:
         assert c == make_cycle(g, c.arc_ids) == _reference_make_cycle(g, c.arc_ids)
+
+
+def test_enumeration_matches_backtracking_oracle_on_larger_multigraphs() -> None:
+    # Beyond the strategy's 5 nodes and 8 arcs: 6-8 nodes and 10-16 arcs,
+    # drawn with loops, parallel arcs and rational weights.
+    rng = random.Random(20)
+    for _ in range(200):
+        n = rng.randint(6, 8)
+        arcs = []
+        for i in range(rng.randint(10, 16)):
+            weight = Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+            arcs.append(Arc(i, rng.randrange(n), rng.randrange(n), weight))
+        g = WeightedDigraph(n, tuple(arcs))
+        got = enumerate_cycles(g, 2**12)
+        assert {c.arc_ids for c in got} == brute_cycles(g)
+        assert all(c == _reference_make_cycle(g, c.arc_ids) for c in got)
+
+
+def test_nodes_that_cannot_return_stay_blocked() -> None:
+    # 40 diamonds from node 0 into a dead end, plus a digon at node 0. A
+    # walk that unblocked the diamond nodes would try all 2^40 paths.
+    k = 40
+    arcs: list[tuple[int, int]] = []
+    for i in range(k):
+        top, bottom, nxt = 3 * i + 1, 3 * i + 2, 3 * i + 3
+        arcs += [(3 * i, top), (3 * i, bottom), (top, nxt), (bottom, nxt)]
+    arcs += [(0, 3 * k + 1), (3 * k + 1, 0)]
+    g = WeightedDigraph(
+        3 * k + 2, tuple(Arc(i, t, h, Fraction(-1)) for i, (t, h) in enumerate(arcs))
+    )
+    assert [c.arc_ids for c in enumerate_cycles(g, 10)] == [(4 * k, 4 * k + 1)]
+
+
+def test_enumeration_builds_nothing_per_declared_node(peak_bytes) -> None:
+    g = WeightedDigraph(10**6, (Arc(0, 0, 0, Fraction(-1)),))
+    cycles, peak = peak_bytes(lambda: enumerate_cycles(g, 10))
+    assert [c.arc_ids for c in cycles] == [(0,)]
+    assert peak < 2**20
 
 
 def test_enumeration_sums_weights_as_integers(fraction_calls) -> None:

@@ -264,6 +264,11 @@ def test_oracle_vertices_are_feasible_and_certified(g: WeightedDigraph) -> None:
         assert not oracle_certifies_vertex(h, mid)
 
 
+def test_phase1_drops_only_trivial_zero_rows() -> None:
+    assert _phase1_feasible([(0, 0, 0), (1, 1, 1), (0, 0, 0)], 2)
+    assert not _phase1_feasible([(0, 0, 0), (0, 0, 1), (1, 1, 1)], 2)
+
+
 # P of TRIANGLE has a vertex and no direction, P of ZERO_TRIANGLE the
 # reverse: each lie turns one phase-1 verdict, once each way.
 @pytest.mark.parametrize("g", [TRIANGLE, ZERO_TRIANGLE])
