@@ -6,9 +6,13 @@ them, cross-checks both against a double-description vertex oracle that
 sees only the H-representation, and carries a CNF-to-graph construction
 under which the vertex set collapses to a trivial family exactly on
 unsatisfiable inputs.
-Arc weights, cycle weights and parsed or printed values are
-`fractions.Fraction`s; the H-representations, the vertex oracle, the cycle
-sums and the arc vectors are integers inside. Nothing is floating point.
+Arc weights, the cycle weights of the object API and parsed or printed
+values are `fractions.Fraction`s; the H-representations, the vertex oracle,
+the cycle sums and the arc vectors are integers inside. A cycle's weight is
+an ``int`` over the graph's scale, the LCM of its arc-weight denominators,
+and a 2-cycle's direction is built from the two ints, so the `directions`
+command runs one integer pass from the cycle walk to the printed rows.
+Nothing is floating point.
 """
 from .characterize import (
     CharacterizationReport,

@@ -4,23 +4,29 @@ Vertices of the weight-(-1) circulation polyhedron are negative cycles
 scaled by -1/weight; extreme directions come from zero cycles scaled by
 1/length and from 2-cycles combined with their (mu, mu') coefficients.
 Each is built straight from arc ids as integer numerators over one
-denominator, so no ``Fraction`` arithmetic runs per entry.
+denominator, so no ``Fraction`` arithmetic runs per entry. The `directions`
+command skips the objects: `_direction_rows` takes the cycles' integer
+weights from the walk to sorted rows, and the public builders wrap the same
+row steps.
 `verify_theorem1` checks both sets against one run of the independent
 oracle on P, which yields its vertices and its extreme directions.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
-from typing import Iterable
+from functools import partial
+from math import gcd, lcm
+from typing import Iterable, Sequence
 
 from .cycles import (
     Cycle,
     TwoCycle,
+    _two_cycle_pairs,
+    _weighted_cycles,
     enumerate_cycles,
     enumerate_two_cycles,
 )
-from .graph import ArcVector, WeightedDigraph, _scaled, sorted_points
+from .graph import ArcVector, WeightedDigraph, _dense_key, sorted_points
 from .polyhedra import (
     DEFAULT_ORACLE_CAP,
     VertexSet,
@@ -40,27 +46,60 @@ def vertex_from_cycle(g: WeightedDigraph, cycle: Cycle) -> ArcVector:
     return ArcVector.from_ints(g.arc_count, -num, items)
 
 
+Row = tuple[int, tuple[tuple[int, int], ...]]  # (den, (arc id, num) pairs)
+
+
+def _zero_cycle_row(arc_ids: Sequence[int]) -> Row:
+    """(1/|C|) * chi(C) as a canonical row."""
+    return len(arc_ids), tuple((i, 1) for i in sorted(arc_ids))
+
+
+def _two_cycle_row(
+    arc_ids1: Sequence[int], w1: int, arc_ids2: Sequence[int], w2: int
+) -> Row:
+    """mu * chi(C1) + mu' * chi(C2) as a canonical row, from the weights
+    W1 < 0 < W2 as integers over any one common denominator: W2 on the arcs
+    only in C1, -W1 on those only in C2 and W2 - W1 on shared ones, all
+    over D = W2 |C1| - W1 |C2|. Neither cycle's arcs lie inside the other's,
+    so W2 and -W1 both occur, and dividing by their gcd makes the row
+    canonical; the common denominator cancels there."""
+    common = gcd(w1, w2)
+    a, b = w2 // common, -w1 // common
+    nums = dict.fromkeys(arc_ids1, a)
+    for i in arc_ids2:
+        nums[i] = nums.get(i, 0) + b
+    return a * len(arc_ids1) + b * len(arc_ids2), tuple(sorted(nums.items()))
+
+
+def _direction_rows(g: WeightedDigraph, cap: int) -> list[Row]:
+    """The extreme directions as canonical rows in `sorted_points` order,
+    straight from the integer cycle weights: one row per zero cycle and per
+    2-cycle. A row's support holds its cycles and no other (a zero cycle's
+    holds one cycle, a 2-cycle's union exactly its two), so no row repeats.
+    ``cap`` bounds the cycles found and the sign-mixed pairs tested."""
+    cycles, _ = _weighted_cycles(g, cap)
+    rows = [_zero_cycle_row(arc_ids) for arc_ids, w in cycles if not w]
+    for i, j, _ in _two_cycle_pairs(g, cycles, cap):
+        rows.append(_two_cycle_row(*cycles[i], *cycles[j]))
+    rows.sort(key=partial(_dense_key, g.arc_count, lcm(*(den for den, _ in rows))))
+    return rows
+
+
 def direction_from_zero_cycle(g: WeightedDigraph, cycle: Cycle) -> ArcVector:
     """(1/|C|) * chi(C); requires a zero-weight cycle."""
     if cycle.weight.numerator != 0:
         raise ValueError("direction construction needs a zero-weight cycle")
-    items = [(i, 1) for i in sorted(cycle.arc_ids)]
-    return ArcVector.from_ints(g.arc_count, cycle.length, items)
+    return ArcVector.from_ints(g.arc_count, *_zero_cycle_row(cycle.arc_ids))
 
 
 def direction_from_two_cycle(g: WeightedDigraph, tc: TwoCycle) -> ArcVector:
-    """mu * chi(C1) + mu' * chi(C2). With the weights W1 < 0 < W2 scaled to
-    integers over a common denominator, that is W2 on the arcs only in C1,
-    -W1 on those only in C2 and W2 - W1 on shared ones, all over
-    D = W2 |C1| - W1 |C2|."""
+    """mu * chi(C1) + mu' * chi(C2), with the two weights over the product
+    of their denominators."""
     c1, c2 = tc.negative, tc.positive
-    (w1, w2), _ = _scaled((c1.weight, c2.weight))
-    nums = dict.fromkeys(c1.arc_ids, w2)
-    for i in c2.arc_ids:
-        nums[i] = nums.get(i, 0) - w1
-    return ArcVector.from_ints(
-        g.arc_count, w2 * c1.length - w1 * c2.length, sorted(nums.items())
-    )
+    p1, q1 = c1.weight.numerator, c1.weight.denominator
+    p2, q2 = c2.weight.numerator, c2.weight.denominator
+    row = _two_cycle_row(c1.arc_ids, p1 * q2, c2.arc_ids, p2 * q1)
+    return ArcVector.from_ints(g.arc_count, *row)
 
 
 def vertices_from_negative_cycles(
@@ -73,11 +112,12 @@ def vertices_from_negative_cycles(
 def directions_from_cycles(
     g: WeightedDigraph, cycles: Iterable[Cycle], two_cycles: Iterable[TwoCycle]
 ) -> VertexSet:
-    """Deduplicated union of zero-cycle and 2-cycle direction vectors."""
-    points = {
+    """The zero-cycle and 2-cycle direction vectors, one per zero cycle and
+    per 2-cycle: distinct cycles and pairs give distinct vectors."""
+    points = [
         direction_from_zero_cycle(g, c) for c in cycles if c.weight.numerator == 0
-    }
-    points.update(direction_from_two_cycle(g, tc) for tc in two_cycles)
+    ]
+    points += [direction_from_two_cycle(g, tc) for tc in two_cycles]
     return VertexSet(sorted_points(points))
 
 
@@ -134,20 +174,25 @@ def _diff_lines(kind: str, formula: set[ArcVector], oracle: set[ArcVector]) -> l
     return lines
 
 
-def format_point(v: ArcVector) -> str:
-    """Sparse one-line rendering: arc-id value pairs, zeros omitted, each
-    value in lowest terms as ``str(Fraction)`` prints it."""
-    parts = []
-    for i, n in v.items:
-        common = gcd(n, v.den)
-        num, den = n // common, v.den // common
-        parts.append(f"{i} {num}" if den == 1 else f"{i} {num}/{den}")
+def _format_row(tag: str, den: int, items: Iterable[tuple[int, int]]) -> str:
+    """``tag`` and then the row's arc-id value pairs, each value in lowest
+    terms as ``str(Fraction)`` prints it."""
+    parts = [tag]
+    for i, n in items:
+        common = gcd(n, den)
+        num, d = n // common, den // common
+        parts.append(f"{i} {num}" if d == 1 else f"{i} {num}/{d}")
     return " ".join(parts)
 
 
+def format_point(v: ArcVector) -> str:
+    """Sparse one-line rendering: arc-id value pairs, zeros omitted, each
+    value in lowest terms as ``str(Fraction)`` prints it."""
+    return _format_row("", v.den, v.items)[1:]  # the space after no tag
+
+
 def format_tagged_point(tag: str, v: ArcVector) -> str:
-    body = format_point(v)
-    return f"{tag} {body}" if body else tag
+    return _format_row(tag, v.den, v.items)
 
 
 def verify_theorem1(

@@ -11,7 +11,8 @@ from pathlib import Path
 
 from .characterize import (
     DEFAULT_CYCLE_CAP,
-    directions_from_cycles,
+    _direction_rows,
+    _format_row,
     format_tagged_point,
     verify_theorem1,
     vertices_from_negative_cycles,
@@ -20,7 +21,6 @@ from .cycles import (
     TwoCycleShape,
     decompose_circulation,
     enumerate_cycles,
-    enumerate_two_cycles,
     format_cycle,
 )
 from .errors import CapExceeded, NegflowError, ParseError
@@ -147,10 +147,8 @@ def _run(args: argparse.Namespace) -> int:
             print(format_tagged_point("v", point))
         return 0
     if args.command == "directions":
-        cycles = enumerate_cycles(g, args.max_cycles)
-        two_cycles = enumerate_two_cycles(g, cycles, args.max_cycles)
-        for point in directions_from_cycles(g, cycles, two_cycles).points:
-            print(format_tagged_point("d", point))
+        rows = _direction_rows(g, args.max_cycles)
+        print("".join(_format_row("d", *row) + "\n" for row in rows), end="")
         return 0
     if args.command == "oracle":
         result = oracle_vertices(build_P(g), args.max_oracle)

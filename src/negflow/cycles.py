@@ -11,10 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import CapExceeded, NotACirculation
-from .graph import ArcVector, WeightedDigraph, _scaled
+from .graph import Arc, ArcVector, WeightedDigraph, _scaled
 
 
 class TwoCycleShape(Enum):
@@ -121,6 +121,25 @@ def _iter_arc_cycles(g: WeightedDigraph) -> Iterator[tuple[int, ...]]:
                         blocked_by.setdefault(head, set()).add(node)
 
 
+def _weighted_cycles(
+    g: WeightedDigraph, cap: int
+) -> tuple[list[tuple[tuple[int, ...], int]], int]:
+    """Every simple cycle as (canonical arc ids, weight times the graph's
+    scale), sorted by arc ids, and that scale: the LCM of the arc-weight
+    denominators, so each scaled weight is an ``int``. Raises CapExceeded
+    as soon as more than ``cap`` cycles are found."""
+    if cap < 1:
+        raise ValueError("cap must be positive")
+    ints, scale = _scaled([arc.weight for arc in g.arcs])
+    found = []
+    for seq in _iter_arc_cycles(g):
+        found.append((_canonical(seq), sum([ints[i] for i in seq])))
+        if len(found) > cap:
+            raise CapExceeded("cycles", cap, f"graph has more than {cap} cycles")
+    found.sort()  # arc ids are distinct, so the weights are never compared
+    return found, scale
+
+
 def enumerate_cycles(g: WeightedDigraph, cap: int) -> tuple[Cycle, ...]:
     """All simple cycles, canonical and sorted lexicographically by arc ids.
 
@@ -128,32 +147,57 @@ def enumerate_cycles(g: WeightedDigraph, cap: int) -> tuple[Cycle, ...]:
     each cycle costs one ``Fraction``. Raises CapExceeded as soon as more
     than ``cap`` cycles are found.
     """
-    if cap < 1:
-        raise ValueError("cap must be positive")
-    ints, scale = _scaled([arc.weight for arc in g.arcs])
-    found: list[Cycle] = []
-    for seq in _iter_arc_cycles(g):
-        found.append(
-            Cycle(_canonical(seq), Fraction(sum([ints[i] for i in seq]), scale))
+    found, scale = _weighted_cycles(g, cap)
+    return tuple(Cycle(ids, Fraction(w, scale)) for ids, w in found)
+
+
+def _masks(g: WeightedDigraph, arc_ids: Iterable[int]) -> tuple[int, int]:
+    """Bitmasks of a cycle's arcs and of its nodes."""
+    arcs = nodes = 0
+    for i in arc_ids:
+        arcs |= 1 << i
+        nodes |= 1 << g.arcs[i].tail
+    return arcs, nodes
+
+
+def _two_cycle_shape(
+    arcs1: int, nodes1: int, arcs2: int, nodes2: int
+) -> TwoCycleShape | None:
+    """The shape of the union of two distinct simple cycles, given by their
+    arc and node masks, or None when the union holds a third cycle."""
+    shared_arcs = arcs1 & arcs2
+    # Two distinct simple cycles share arcs only as vertex-disjoint directed
+    # paths, so their shared part has |nodes| - |arcs| components. At two or
+    # more, leaving one component along c2 and coming back along c1 closes a
+    # third cycle. At one or none the union is two disjoint cycles, a
+    # figure-eight or three internally disjoint paths: exactly c1 and c2.
+    if (nodes1 & nodes2).bit_count() - shared_arcs.bit_count() >= 2:
+        return None
+    return TwoCycleShape.THREE_PATH if shared_arcs else TwoCycleShape.EDGE_DISJOINT
+
+
+def _two_cycle_pairs(
+    g: WeightedDigraph, cycles: Sequence[tuple[Sequence[int], int]], cap: int
+) -> list[tuple[int, int, TwoCycleShape]]:
+    """The 2-cycles among ``cycles``, given as (arc ids, weight numerator):
+    (negative index, positive index, shape), in order of the negative cycle
+    and then the positive one. Raises CapExceeded before any pair is tested
+    when there are more than ``cap`` sign-mixed pairs."""
+    negatives, positives = [], []
+    for k, (arc_ids, w) in enumerate(cycles):
+        if w:
+            (negatives if w < 0 else positives).append((k, *_masks(g, arc_ids)))
+    if len(negatives) * len(positives) > cap:
+        raise CapExceeded(
+            "two-cycle pairs", cap, f"{len(negatives) * len(positives)} pairs"
         )
-        if len(found) > cap:
-            raise CapExceeded("cycles", cap, f"graph has more than {cap} cycles")
-    found.sort(key=lambda c: c.arc_ids)
-    return tuple(found)
-
-
-def _masks(g: WeightedDigraph, cycle: Cycle) -> tuple[int, int]:
-    """Bitmasks of the cycle's arcs and of its nodes, built on first use and
-    kept on the cycle (its arc ids already tie it to ``g``), so a cycle
-    tested against many partners builds them once."""
-    masks = cycle.__dict__.get("_masks")
-    if masks is None:
-        arcs = nodes = 0
-        for i in cycle.arc_ids:
-            arcs |= 1 << i
-            nodes |= 1 << g.arcs[i].tail
-        masks = cycle.__dict__["_masks"] = (arcs, nodes)
-    return masks
+    out = []
+    for i, arcs1, nodes1 in negatives:
+        for j, arcs2, nodes2 in positives:
+            shape = _two_cycle_shape(arcs1, nodes1, arcs2, nodes2)
+            if shape is not None:
+                out.append((i, j, shape))
+    return out
 
 
 def is_two_cycle(g: WeightedDigraph, c1: Cycle, c2: Cycle) -> TwoCycle | None:
@@ -164,18 +208,8 @@ def is_two_cycle(g: WeightedDigraph, c1: Cycle, c2: Cycle) -> TwoCycle | None:
     """
     if not c1.weight.numerator < 0 < c2.weight.numerator:
         return None
-    arcs1, nodes1 = _masks(g, c1)
-    arcs2, nodes2 = _masks(g, c2)
-    shared_arcs = (arcs1 & arcs2).bit_count()
-    # Two distinct simple cycles share arcs only as vertex-disjoint directed
-    # paths, so their shared part has |nodes| - |arcs| components. At two or
-    # more, leaving one component along c2 and coming back along c1 closes a
-    # third cycle. At one or none the union is two disjoint cycles, a
-    # figure-eight or three internally disjoint paths: exactly c1 and c2.
-    if (nodes1 & nodes2).bit_count() - shared_arcs >= 2:
-        return None
-    shape = TwoCycleShape.THREE_PATH if shared_arcs else TwoCycleShape.EDGE_DISJOINT
-    return TwoCycle(c1, c2, shape)
+    shape = _two_cycle_shape(*_masks(g, c1.arc_ids), *_masks(g, c2.arc_ids))
+    return None if shape is None else TwoCycle(c1, c2, shape)
 
 
 def enumerate_two_cycles(
@@ -187,25 +221,21 @@ def enumerate_two_cycles(
     (negative, positive) canonical arc ids. The cap bounds the number of
     sign-mixed pairs tested.
     """
-    negatives = [c for c in cycles if c.weight.numerator < 0]
-    positives = [c for c in cycles if c.weight.numerator > 0]
-    if len(negatives) * len(positives) > cap:
-        raise CapExceeded(
-            "two-cycle pairs", cap, f"{len(negatives) * len(positives)} pairs"
-        )
-    out = []
-    for c1 in negatives:
-        for c2 in positives:
-            tc = is_two_cycle(g, c1, c2)
-            if tc is not None:
-                out.append(tc)
-    return tuple(out)
+    signed = [(c.arc_ids, c.weight.numerator) for c in cycles]
+    return tuple(
+        TwoCycle(cycles[i], cycles[j], shape)
+        for i, j, shape in _two_cycle_pairs(g, signed, cap)
+    )
 
 
 def _find_cycle_through(
-    g: WeightedDigraph, arc_id: int, values: list[Fraction]
+    g: WeightedDigraph,
+    out_arcs: dict[int, list[Arc]],
+    arc_id: int,
+    values: list[Fraction],
 ) -> list[int]:
-    """A simple cycle through ``arc_id`` using only positive-value arcs."""
+    """A simple cycle through ``arc_id`` using only positive-value arcs;
+    ``out_arcs`` holds at least those, by tail in arc-id order."""
     first = g.arcs[arc_id]
     if first.tail == first.head:
         return [arc_id]
@@ -216,7 +246,7 @@ def _find_cycle_through(
     trail: list[int] = []
     while frames:
         frame = frames[-1]
-        succ = g.out_arcs[frame[0]]
+        succ = out_arcs.get(frame[0], ())
         moved = False
         while frame[1] < len(succ):
             arc = succ[frame[1]]
@@ -252,19 +282,26 @@ def decompose_circulation(g: WeightedDigraph, y: ArcVector) -> CycleDecompositio
     for i, v in enumerate(values):
         if v < 0:
             raise NotACirculation(f"negative value {v} on arc {i}")
-    for node in range(g.node_count):
-        balance = sum((values[a.arc_id] for a in g.out_arcs[node]), Fraction(0))
-        balance -= sum((values[a.arc_id] for a in g.in_arcs[node]), Fraction(0))
-        if balance != 0:
-            raise NotACirculation(
-                f"flow conservation violated at node {node}", node=node
-            )
+    # One pass over the arcs: the support's arcs by tail and the net flow
+    # out of each node they touch, so nothing is built per declared node.
+    out_arcs: dict[int, list[Arc]] = {}
+    balance: dict[int, Fraction] = {}
+    for arc in g.arcs:
+        v = values[arc.arc_id]
+        if v:
+            out_arcs.setdefault(arc.tail, []).append(arc)
+            balance[arc.tail] = balance.get(arc.tail, 0) + v
+            balance[arc.head] = balance.get(arc.head, 0) - v
+    unbalanced = [node for node, b in balance.items() if b]
+    if unbalanced:
+        node = min(unbalanced)
+        raise NotACirculation(f"flow conservation violated at node {node}", node=node)
     terms: list[tuple[Cycle, Fraction]] = []
     while True:
         support = [i for i, v in enumerate(values) if v > 0]
         if not support:
             break
-        seq = _find_cycle_through(g, support[0], values)
+        seq = _find_cycle_through(g, out_arcs, support[0], values)
         coeff = min(values[i] for i in seq)
         for i in seq:
             values[i] -= coeff

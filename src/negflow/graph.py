@@ -169,20 +169,28 @@ class ArcVector:
         return tuple(i for i, _ in self.items)
 
 
+def _dense_key(
+    dimension: int, scale: int, row: tuple[int, Iterable[tuple[int, int]]]
+) -> list[int]:
+    """The entries of the row ``(den, items)`` times ``scale``, a multiple of
+    ``den``, as a dense ``int`` list: over one common ``scale`` these compare
+    as the dense ``Fraction`` entries do, so they order rows and points."""
+    den, items = row
+    out = [0] * dimension
+    factor = scale // den
+    for i, n in items:
+        out[i] = n * factor
+    return out
+
+
 def sorted_points(points: Iterable[ArcVector]) -> tuple[ArcVector, ...]:
     """The points in the order of their dense ``Fraction`` entries, compared
     as dense ``int`` vectors over the points' common denominator."""
     points = list(points)
     scale = lcm(*(p.den for p in points))
-
-    def dense(p: ArcVector) -> list[int]:
-        out = [0] * p.dimension
-        factor = scale // p.den
-        for i, n in p.items:
-            out[i] = n * factor
-        return out
-
-    return tuple(sorted(points, key=dense))
+    return tuple(
+        sorted(points, key=lambda p: _dense_key(p.dimension, scale, (p.den, p.items)))
+    )
 
 
 def parse_graph(text: str) -> WeightedDigraph:

@@ -23,9 +23,13 @@ from .graph import ArcVector, WeightedDigraph, _scaled, sorted_points
 # plus 1 per ray each pair test's adjacency scan reads. The one run on P
 # peaks at 447 units on the seed-1 `verify-oracle` benchmark pool (m <= 10)
 # and at 23,633 on all 720 8-node, 20-arc graphs of the seed-1
-# `directions-dense` pool, so 20-arc graphs fit this cap. The method spends
-# about 14 M units per second (2-core x86 VM, Python 3.11), so the default
-# cap ends a run within a tenth of a second.
+# `directions-dense` pool, so 20-arc graphs fit this cap. The double
+# description spends about 14 M units per second (2-core x86 VM, Python
+# 3.11), so the cap ends that stage within a tenth of a second. It does not
+# bound the rest of the run: the starting elimination and the two phase-1
+# checks are not charged. On a ring of n nodes with one weight -1 arc and
+# n - 1 weight-0 arcs, a run at cap 2**10 spends 1 unit, yet phase 1 takes
+# about 1 s at n = 200 and 5-9 s at n = 400.
 DEFAULT_ORACLE_CAP = 2**20
 
 
@@ -38,7 +42,8 @@ class HRep:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        for row in self.rows:
+        # A row object shared by many rows (a zero row) is checked once.
+        for row in {id(row): row for row in self.rows}.values():
             if len(row) != self.dimension + 1:
                 raise ValueError("row length does not match dimension + 1")
             if not all(isinstance(v, int) for v in row):
@@ -78,21 +83,29 @@ def build_P(g: WeightedDigraph) -> HRep:
 
 def build_P_prime(g: WeightedDigraph) -> HRep:
     """P's recession slice: flow conservation, weight 0, entries summing to 1."""
-    return HRep(g.arc_count, _recession_slice(build_P(g)))
+    return HRep(g.arc_count, _recession_slice(build_P(g).rows, g.arc_count))
 
 
-def _recession_slice(h: HRep) -> tuple[tuple[int, ...], ...]:
+def _recession_slice(
+    rows: Sequence[Sequence[int]], dimension: int
+) -> tuple[tuple[int, ...], ...]:
     """The rows with right-hand side 0, plus entries summing to 1."""
-    return (*((*row[:-1], 0) for row in h.rows), (1,) * (h.dimension + 1))
+    return (*((*row[:-1], 0) for row in rows), (1,) * (dimension + 1))
 
 
 def _flow_rows(g: WeightedDigraph) -> list[tuple[int, ...]]:
-    """Per node: +1 on out-arcs, -1 on in-arcs (a loop nets 0), rhs 0."""
-    rows = [[0] * (g.arc_count + 1) for _ in range(g.node_count)]
+    """Per node: +1 on out-arcs, -1 on in-arcs (a loop nets 0), rhs 0.
+    Nodes without arcs share one zero row, so they cost a reference each."""
+    width = g.arc_count + 1
+    touched: dict[int, list[int]] = {}
     for arc in g.arcs:
-        rows[arc.tail][arc.arc_id] += 1
-        rows[arc.head][arc.arc_id] -= 1
-    return [tuple(row) for row in rows]
+        for node, step in ((arc.tail, 1), (arc.head, -1)):
+            row = touched.get(node)
+            if row is None:
+                row = touched[node] = [0] * width
+            row[arc.arc_id] += step
+    zero = (0,) * width
+    return [tuple(touched[v]) if v in touched else zero for v in range(g.node_count)]
 
 
 def _pivot(matrix: list[list[int]], row: int, col: int, prev: int) -> None:
@@ -169,7 +182,10 @@ def oracle_vertices(h: HRep, cap: int = DEFAULT_ORACLE_CAP) -> VertexSet:
         raise ValueError("cap must be positive")
     m = h.dimension
     budget = _Budget("oracle work", cap)
-    matrix = [[*row[:-1], -row[-1]] for row in h.rows]
+    # Rows 0 = 0 (a node with no arcs, or only loops) hold no constraint;
+    # each would be copied and swapped through the elimination.
+    rows = [row for row in h.rows if any(row)]
+    matrix = [[*row[:-1], -row[-1]] for row in rows]
     pivots, prev = _eliminate(matrix, range(m + 1))
     # Free column f: ``prev`` at f, minus column f at each pivot column.
     lines = []
@@ -223,9 +239,9 @@ def oracle_vertices(h: HRep, cap: int = DEFAULT_ORACLE_CAP) -> VertexSet:
             points.append(ArcVector.from_ints(m, v[m], items))
         else:
             directions.append(ArcVector.from_ints(m, sum(v[:m]), items))
-    if _phase1_feasible(h.rows, m) != bool(points):
+    if _phase1_feasible(rows, m) != bool(points):
         raise NegflowError("phase 1 contradicts the vertex enumeration")
-    if _phase1_feasible(_recession_slice(h), m) != bool(directions):
+    if _phase1_feasible(_recession_slice(rows, m), m) != bool(directions):
         raise NegflowError("phase 1 contradicts the direction enumeration")
     return VertexSet(sorted_points(points), sorted_points(directions))
 

@@ -20,6 +20,10 @@ TEST_REFERENCES = {
     # Compact restriction to an arc set: the union-enumeration reference
     # for `is_two_cycle` enumerates the cycles of the pair's union.
     "subgraph",
+    # The 2-cycle test on one pair of `Cycle`s: the library runs the same
+    # mask test over all pairs at once, and the tests check it pair by pair
+    # against that union enumeration through this name.
+    "is_two_cycle",
 }
 
 

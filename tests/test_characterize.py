@@ -1,4 +1,5 @@
 """Cycle-formula vertex/direction construction vs. the oracle."""
+import random
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -134,11 +135,13 @@ def test_verify_on_isolated_nodes_stays_small(peak_bytes) -> None:
 
 
 def _count_calls(monkeypatch: pytest.MonkeyPatch) -> dict[str, list]:
-    """Wrap enumerate_cycles, is_two_cycle and the Johnson walk at every
-    negflow name bound to them, recording the arguments of each call."""
+    """Wrap the Johnson walk, the cycle weighting that drives it and the
+    2-cycle test on cycle masks at every negflow name bound to them,
+    recording the arguments of each call. The weighting serves both
+    `enumerate_cycles` and the `directions` command's integer pass."""
     calls: dict[str, list] = {
-        "enumerate_cycles": [],
-        "is_two_cycle": [],
+        "_weighted_cycles": [],
+        "_two_cycle_shape": [],
         "_iter_arc_cycles": [],
     }
     for name, record in calls.items():
@@ -161,8 +164,9 @@ def test_verify_enumerates_cycles_once(monkeypatch: pytest.MonkeyPatch) -> None:
     calls = _count_calls(monkeypatch)
     report = verify_theorem1(gen_fig3(2), 2**10, 2**14)
     assert report.all_match
-    assert len(calls["enumerate_cycles"]) == 1
-    pairs = [(c1.arc_ids, c2.arc_ids) for _, c1, c2 in calls["is_two_cycle"]]
+    assert len(calls["_weighted_cycles"]) == 1
+    # A simple cycle is fixed by its arc set, so its arc mask names it.
+    pairs = [(arcs1, arcs2) for arcs1, _, arcs2, _ in calls["_two_cycle_shape"]]
     assert report.negative_cycles * report.positive_cycles == 8
     assert len(pairs) == len(set(pairs)) == 8
 
@@ -175,15 +179,15 @@ def test_cli_and_decide_enumerate_cycles_once(
     graph.write_text(serialize_graph(gen_fig3(2)))
     for command, pairs in (("vertices", 0), ("directions", 8)):
         assert main([command, str(graph)]) == 0
-        assert len(calls["enumerate_cycles"]) == len(calls["_iter_arc_cycles"]) == 1
-        assert len(calls["is_two_cycle"]) == pairs
+        assert len(calls["_weighted_cycles"]) == len(calls["_iter_arc_cycles"]) == 1
+        assert len(calls["_two_cycle_shape"]) == pairs
         for record in calls.values():
             record.clear()
     # decide searches for a long cycle and walks none, for SAT and UNSAT
     # formulas alike.
     for text in ("p cnf 2 2\n1 2 0\n-1 -2 0\n", "p cnf 1 2\n1 0\n-1 0\n"):
         decide_ve01(parse_dimacs_cnf(text), 2**16)
-        assert calls["_iter_arc_cycles"] == calls["enumerate_cycles"] == []
+        assert calls["_iter_arc_cycles"] == calls["_weighted_cycles"] == []
 
 
 def test_report_text_shape() -> None:
@@ -349,6 +353,43 @@ def test_integer_vectors_match_dense_reference(g: WeightedDigraph) -> None:
         assert list(got.points) == [ArcVector(e) for e in dense]
         assert [hash(p) for p in got.points] == [hash(ArcVector(e)) for e in dense]
         assert [format_point(p) for p in got.points] == [_dense_line(e) for e in dense]
+
+
+def test_directions_command_matches_dense_reference(
+    tmp_path: Path, capsys: pytest.CaptureFixture[str]
+) -> None:
+    # The `directions` command builds integer rows straight from the cycle
+    # walk and keeps no set of them: a zero cycle's vector has that one
+    # cycle in its support and a 2-cycle's exactly its two, so no vector
+    # can repeat. 300 seeded multigraphs (1-7 nodes, 0-14 arcs, loops,
+    # parallel arcs, weights over denominators 1-4) check both facts
+    # against the dense builders above, which dedupe by a set.
+    rng = random.Random(21)
+    path = tmp_path / "g.graph"
+    lines = 0
+    for _ in range(300):
+        n = rng.randint(1, 7)
+        g = _arcs(
+            n,
+            *(
+                (
+                    rng.randrange(n),
+                    rng.randrange(n),
+                    Fraction(rng.randint(-3, 3), rng.randint(1, 4)),
+                )
+                for _ in range(rng.randint(0, 14))
+            ),
+        )
+        path.write_text(serialize_graph(g))
+        assert main(["directions", str(path)]) == 0
+        out = capsys.readouterr().out
+        cycles = enumerate_cycles(g, 2**16)
+        two_cycles = enumerate_two_cycles(g, cycles, 2**16)
+        dense = _dense_directions(g, cycles, two_cycles)
+        assert len(dense) == sum(c.weight == 0 for c in cycles) + len(two_cycles)
+        assert out == "".join(f"d {_dense_line(e)}\n" for e in dense)
+        lines += len(dense)
+    assert lines > 1000
 
 
 def _theorem1_family() -> list[WeightedDigraph]:

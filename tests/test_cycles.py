@@ -455,6 +455,15 @@ def test_decompose_rejects_unbalanced_vector() -> None:
     assert exc.value.node is not None
 
 
+def test_decompose_names_the_lowest_unbalanced_node() -> None:
+    # Arc 0 runs from node 3 to node 2, so one pass over the arcs meets node
+    # 3 first; the error still names the lowest unbalanced node.
+    g = parse_graph("p 4 2\na 4 3 0\na 1 2 0\n")
+    with pytest.raises(NotACirculation, match="violated at node 2$") as exc:
+        decompose_circulation(g, ArcVector((Fraction(1), Fraction(0))))
+    assert exc.value.node == 2
+
+
 def test_decompose_dimension_mismatch() -> None:
     with pytest.raises(ValueError):
         decompose_circulation(TRIANGLE, ArcVector((Fraction(0),) * 2))
