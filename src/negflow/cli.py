@@ -56,8 +56,8 @@ def _build_parser() -> argparse.ArgumentParser:
             "--max-oracle",
             type=int,
             default=DEFAULT_ORACLE_CAP,
-            help="work cap of the one oracle run on P: one unit per vector a line "
-            "step rewrites and per ray an adjacency scan reads "
+            help="work cap of the one oracle run on P: one unit per ray a row's "
+            "cut evaluates and per ray an adjacency scan reads "
             f"(default {DEFAULT_ORACLE_CAP})",
         )
 

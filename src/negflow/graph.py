@@ -100,14 +100,6 @@ class WeightedDigraph:
             buckets[arc.tail].append(arc)
         return tuple(tuple(b) for b in buckets)
 
-    @cached_property
-    def in_arcs(self) -> tuple[tuple[Arc, ...], ...]:
-        """Arcs grouped by head node, in arc-id order."""
-        buckets: list[list[Arc]] = [[] for _ in range(self.node_count)]
-        for arc in self.arcs:
-            buckets[arc.head].append(arc)
-        return tuple(tuple(b) for b in buckets)
-
 
 @dataclass(frozen=True, slots=True, init=False)
 class ArcVector:

@@ -2,11 +2,12 @@
 
 The oracle runs the double-description method (Motzkin et al. 1953; Fukuda
 & Prodon 1996) on exact integer rays, with no floating point and no
-tolerance anywhere. One run yields a polyhedron's vertices and its extreme
-directions (on P, the vertices of P'). An H-representation holds integer
-rows, its weight row scaled once by the LCM of the weight denominators. One
-fraction-free pivot serves the oracle's nullspace, the vertex certifier and
-phase 1. Line rewrites and adjacency scans are charged against one work
+tolerance anywhere: it starts at the orthant's unit rays and cuts them with
+one equality row at a time. One run yields a polyhedron's vertices and its
+extreme directions (on P, the vertices of P'). An H-representation holds
+integer rows, its weight row scaled once by the LCM of the weight
+denominators. One fraction-free pivot serves the vertex certifier and
+phase 1. Row evaluations and adjacency scans are charged against one work
 budget. The oracle is deliberately independent of the cycle-based
 characterization it is used to validate.
 """
@@ -19,17 +20,16 @@ from typing import Sequence
 from .errors import CapExceeded, NegflowError
 from .graph import ArcVector, WeightedDigraph, _scaled, sorted_points
 
-# Work units: 1 per vector a line step rewrites (the flipped line counted)
-# plus 1 per ray each pair test's adjacency scan reads. The one run on P
-# peaks at 447 units on the seed-1 `verify-oracle` benchmark pool (m <= 10)
-# and at 23,633 on all 720 8-node, 20-arc graphs of the seed-1
-# `directions-dense` pool, so 20-arc graphs fit this cap. The double
-# description spends about 14 M units per second (2-core x86 VM, Python
-# 3.11), so the cap ends that stage within a tenth of a second. It does not
-# bound the rest of the run: the starting elimination and the two phase-1
-# checks are not charged. On a ring of n nodes with one weight -1 arc and
-# n - 1 weight-0 arcs, a run at cap 2**10 spends 1 unit, yet phase 1 takes
-# about 1 s at n = 200 and 5-9 s at n = 400.
+# Work units: 1 per ray a row's cut evaluates plus 1 per ray each pair
+# test's adjacency scan reads. The one run on P peaks at 700 units on the
+# seed-1 `verify-oracle` benchmark pool (m <= 10) and at 30,683 on all 720
+# 8-node, 20-arc graphs of the seed-1 `directions-dense` pool, so 20-arc
+# graphs fit this cap. The double description spends about 14 M units per
+# second (2-core x86 VM, Python 3.11), so the cap ends it within a tenth of
+# a second. The two phase-1 checks are the one stage it does not bound: on
+# a ring of n nodes with one weight -1 arc and n - 1 weight-0 arcs, the run
+# spends n^2 + n + 2 units, yet phase 1 takes about 0.6 s at n = 200 and
+# 4 s at n = 400.
 DEFAULT_ORACLE_CAP = 2**20
 
 
@@ -127,13 +127,11 @@ def _pivot(matrix: list[list[int]], row: int, col: int, prev: int) -> None:
             matrix[r] = [p * a // prev for a in other]
 
 
-def _eliminate(
-    matrix: list[list[int]], columns: Sequence[int]
-) -> tuple[list[int], int]:
+def _eliminate(matrix: list[list[int]], columns: Sequence[int]) -> list[int]:
     """Gauss-Jordan on ``matrix`` in place, pivoting on ``columns`` in order
     and skipping each column that depends on those before it. Returns the
-    pivot column of each leading row and the last pivot (1 if none), which
-    every leading row then holds at its pivot column."""
+    pivot column of each leading row, so its length is the rank of
+    ``columns``: the vertex certifier's support test."""
     pivots: list[int] = []
     prev = 1
     for c in columns:
@@ -145,18 +143,14 @@ def _eliminate(
         _pivot(matrix, row_at, c, prev)
         prev = matrix[row_at][c]
         pivots.append(c)
-    return pivots, prev
-
-
-def _reduced(v: list[int]) -> list[int]:
-    """``v`` divided by the gcd of its entries."""
-    g = gcd(*v)
-    return v if g == 1 else [x // g for x in v]
+    return pivots
 
 
 def _combine(a: int, v: list[int], b: int, w: list[int]) -> list[int]:
-    """``a * v - b * w``, reduced."""
-    return _reduced([a * x - b * y for x, y in zip(v, w)])
+    """``a * v - b * w`` divided by the gcd of its entries."""
+    u = [a * x - b * y for x, y in zip(v, w)]
+    g = gcd(*u)
+    return u if g == 1 else [x // g for x in u]
 
 
 def oracle_vertices(h: HRep, cap: int = DEFAULT_ORACLE_CAP) -> VertexSet:
@@ -165,61 +159,35 @@ def oracle_vertices(h: HRep, cap: int = DEFAULT_ORACLE_CAP) -> VertexSet:
     The extreme rays of the cone ``{(y, t): A y - t b = 0, y >= 0, t >= 0}``
     with ``t > 0`` are the vertices ``y / t``; those with ``t = 0`` are the
     recession cone's, divided by their entry sums into ``directions``.
-    Starting from a nullspace basis of ``[A | -b]`` as lines, the
-    inequalities ``y_0, ..., y_{m-1}, t >= 0`` are added one at a time, each
-    ray keeping the mask of those it meets with equality. A line nonzero on
-    the new inequality is oriented positive there, cancels that coordinate
-    in every other vector and becomes a ray. Otherwise the rays negative
-    there are dropped, and each (positive, negative) pair whose common mask
-    lies in no third ray's mask adds its combination that is zero there. The
-    ``"oracle work"`` budget is charged 1 per vector a line step rewrites
-    and 1 per ray an adjacency scan reads. Exact phase 1 cross-checks both
-    sets, or raises `NegflowError`: the rows are feasible iff there is a
-    vertex (``y >= 0`` makes the polyhedron pointed), the recession slice
-    iff a direction.
+    The rays start as the ``m + 1`` unit vectors of ``(y, t)``, each keeping
+    the mask of the coordinates it is zero on. Each row ``a = (A_i, -b_i)``
+    then cuts the cone: the rays with ``a . v = 0`` stay, each (positive,
+    negative) pair whose common mask lies in no third ray's mask adds its
+    combination with ``a . v = 0``, and the other rays go. The
+    ``"oracle work"`` budget is charged 1 per ray a cut evaluates and 1 per
+    ray an adjacency scan reads. Exact phase 1 cross-checks both sets, or
+    raises `NegflowError`: the rows are feasible iff there is a vertex
+    (``y >= 0`` makes the polyhedron pointed), the recession slice iff a
+    direction.
     """
     if cap < 1:
         raise ValueError("cap must be positive")
     m = h.dimension
     budget = _Budget("oracle work", cap)
-    # Rows 0 = 0 (a node with no arcs, or only loops) hold no constraint;
-    # each would be copied and swapped through the elimination.
+    # Rows 0 = 0 (a node with no arcs, or only loops) hold no constraint.
     rows = [row for row in h.rows if any(row)]
-    matrix = [[*row[:-1], -row[-1]] for row in rows]
-    pivots, prev = _eliminate(matrix, range(m + 1))
-    # Free column f: ``prev`` at f, minus column f at each pivot column.
-    lines = []
-    for f in sorted(set(range(m + 1)) - set(pivots)):
-        line = [0] * (m + 1)
-        line[f] = prev
-        for r, c in enumerate(pivots):
-            line[c] = -matrix[r][f]
-        lines.append(_reduced(line))
-    rays: list[tuple[list[int], int]] = []  # (vector, tight mask)
-    for i in range(m + 1):
-        bit = 1 << i
-        k = next((k for k, line in enumerate(lines) if line[i]), None)
-        if k is not None:
-            line = lines.pop(k)
-            flipped = line[i] < 0
-            if flipped:
-                line = [-x for x in line]
-            a = line[i]
-            moved = sum(1 for v in lines if v[i]) + sum(1 for v, _ in rays if v[i])
-            budget.spend(flipped + moved)
-            lines = [_combine(a, v, v[i], line) if v[i] else v for v in lines]
-            rays = [
-                (_combine(a, v, v[i], line) if v[i] else v, mask | bit)
-                for v, mask in rays
-            ]
-            rays.append((line, bit - 1))
-            continue
-        negative = [ray for ray in rays if ray[0][i] < 0]
-        kept = [(v, mask if v[i] else mask | bit) for v, mask in rays if v[i] >= 0]
-        for p, p_mask in rays:
-            if p[i] <= 0:
+    full = (1 << (m + 1)) - 1
+    rays = [([0] * i + [1] + [0] * (m - i), full ^ (1 << i)) for i in range(m + 1)]
+    for row in rows:
+        a = [(j, x) for j, x in enumerate((*row[:-1], -row[-1])) if x]
+        budget.spend(len(rays))
+        values = [sum(x * v[j] for j, x in a) for v, _ in rays]
+        kept = [ray for ray, s in zip(rays, values) if not s]
+        negative = [(q, q_mask, s) for (q, q_mask), s in zip(rays, values) if s < 0]
+        for (p, p_mask), s in zip(rays, values):
+            if s <= 0:
                 continue
-            for q, q_mask in negative:
+            for q, q_mask, r in negative:
                 common = p_mask & q_mask
                 read = 0
                 for v, mask in rays:
@@ -229,7 +197,7 @@ def oracle_vertices(h: HRep, cap: int = DEFAULT_ORACLE_CAP) -> VertexSet:
                     if mask & common == common:
                         break
                 else:
-                    kept.append((_combine(p[i], q, q[i], p), common | bit))
+                    kept.append((_combine(s, q, r, p), common))
                 budget.spend(read)
         rays = kept
     points, directions = [], []
@@ -259,7 +227,7 @@ def oracle_certifies_vertex(h: HRep, y: ArcVector) -> bool:
     return (
         solves
         and all(n >= 0 for _, n in y.items)
-        and len(_eliminate([list(row) for row in h.rows], support)[0]) == len(support)
+        and len(_eliminate([list(row) for row in h.rows], support)) == len(support)
     )
 
 

@@ -256,11 +256,11 @@ def graphs(draw: st.DrawFn) -> WeightedDigraph:
     return _arcs(n, *arcs)
 
 
-# The oracle cap bounds line rewrites plus adjacency-scan reads of the one
-# run on P. For the strategy above (<= 4 nodes, <= 7 arcs) 100,000 random
-# draws found none above 280 units; an earlier hill-climbing search over
-# 12,000 more graphs found none above 285 for P or P'. This cap leaves 7x
-# headroom over the largest draw seen.
+# The oracle cap bounds row evaluations plus adjacency-scan reads of the
+# one run on P. For the strategy above (<= 4 nodes, <= 7 arcs) 100,000
+# random draws found none above 377 units; a hill-climbing search over
+# 12,000 more graphs found none above 452 on P or 554 on P'. This cap
+# leaves 3.7x headroom over the largest seen.
 STRATEGY_ORACLE_CAP = 2**11
 
 
@@ -417,7 +417,7 @@ def _theorem1_family() -> list[WeightedDigraph]:
 
 
 # On this family the largest oracle run (P of the 7-node, 34-arc random
-# graph) takes 7,638,202 units; 2^24 leaves 2.2x headroom, so the family
+# graph) takes 8,193,516 units; 2^24 leaves 2.0x headroom, so the family
 # runs to the end while an oracle that grew several-fold would abort
 # loudly. The family takes about 7 s; its budget is 30 s on a 2-core VM.
 THEOREM1_ORACLE_CAP = 2**24

@@ -1,4 +1,6 @@
 """Command-line interface: exit codes, output formats, caps, determinism."""
+import random
+import re
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -340,14 +342,93 @@ def test_non_utf8_input_exits_2_with_its_line(
     assert capsys.readouterr().err == f"error: line {line}: not UTF-8 text\n"
 
 
+# Bytes inserted by the sweep: characters the integer parser must reject.
+SWEEP_INSERTS = (b"+", b"_", b"\x00", "\u0663".encode())
+
+
+def _mutate(data: bytes, rng: random.Random) -> bytes:
+    """One byte-level mutation: delete, duplicate or swap a line, flip a
+    bit, insert one of `SWEEP_INSERTS`, or truncate."""
+    lines = data.splitlines(keepends=True)
+    kind = rng.randrange(6)
+    if kind < 3:
+        i, j = rng.randrange(len(lines)), rng.randrange(len(lines))
+        if kind == 0:
+            del lines[i]
+        elif kind == 1:
+            lines.insert(i, lines[i])
+        else:
+            lines[i], lines[j] = lines[j], lines[i]
+        return b"".join(lines)
+    pos = rng.randrange(len(data))
+    if kind == 3:
+        flipped = data[pos] ^ (1 << rng.randrange(8))
+        return data[:pos] + bytes([flipped]) + data[pos + 1 :]
+    if kind == 4:
+        return data[:pos] + rng.choice(SWEEP_INSERTS) + data[pos:]
+    return data[:pos]
+
+
+# Mutated files of each kind, and the commands that read them; each mutant
+# runs the next command of its kind in turn.
+SWEEP_CNF = "c three clauses\np cnf 3 3\n1 -2 0\n2 3 0\n-1 -3 0\n"
+SWEEP_VECTOR = "c loop and digon\ne 6 1\ne 3 1/2\ne 0 1/2\n"
+SWEEP_CASES = (
+    (
+        "graph",
+        MULTIGRAPH,
+        600,
+        (
+            ["vertices", "graph"],
+            ["directions", "graph"],
+            ["oracle", "graph"],
+            ["oracle", "--prime", "graph"],
+            ["verify", "graph"],
+            ["decompose", "graph", "vector"],
+        ),
+    ),
+    ("vector", SWEEP_VECTOR, 200, (["decompose", "graph", "vector"],)),
+    ("cnf", SWEEP_CNF, 200, (["reduce", "cnf"], ["decide", "cnf"])),
+)
+
+
+def test_mutated_inputs_exit_cleanly(
+    tmp_path: Path, capsys: pytest.CaptureFixture[str]
+) -> None:
+    # 1,000 seeded mutants: every run exits 0-3 with no exception out of
+    # main, and every exit 2 names the line it rejects.
+    rng = random.Random(20)
+    files = {kind: tmp_path / kind for kind, *_ in SWEEP_CASES}
+    for kind, text, *_ in SWEEP_CASES:
+        files[kind].write_text(text)
+    problems = []
+    for kind, text, count, commands in SWEEP_CASES:
+        for i in range(count):
+            data = _mutate(text.encode(), rng)
+            files[kind].write_bytes(data)
+            argv = [str(files.get(a, a)) for a in commands[i % len(commands)]]
+            try:
+                code = main(argv)
+            except Exception as exc:  # any escape is a finding, listed below
+                problems.append((argv[0], data, repr(exc)))
+                continue
+            err = capsys.readouterr().err
+            if code not in (0, 1, 2, 3) or (
+                code == 2 and not re.match(r"error: line \d+: ", err)
+            ):
+                problems.append((argv[0], data, code, err))
+        files[kind].write_text(text)
+    assert problems == []
+
+
 def test_declared_nodes_cost_no_time_or_memory(
     tmp_path: Path, capsys: pytest.CaptureFixture[str], peak_bytes
 ) -> None:
-    # 200,000 declared nodes and one loop. A dense flow row per node carried
-    # through the oracle's elimination, or two Fraction sums per node in
-    # `decompose`, cost 15-44 MiB of traced peak and 0.5-1 s per command
-    # here; built from the arcs alone, every command stays near 3 MiB and
-    # the six run in about 0.25 s on a 2-core x86 VM.
+    # 200,000 declared nodes and one loop. A dense flow row per node in the
+    # oracle, or two Fraction sums per node in `decompose`, cost 15-44 MiB
+    # of traced peak and 0.5-1 s per command here; built from the arcs
+    # alone, every command stays near 3 MiB and the six run in about 0.25 s
+    # on a 2-core x86 VM.
     graph = tmp_path / "big.graph"
     graph.write_text("p 200000 1\na 1 1 -1\n")
     vector = tmp_path / "y.vec"
@@ -388,7 +469,8 @@ def test_cap_exceeded_exits_3(fig3: Path, capsys: pytest.CaptureFixture[str]) ->
 
 
 def test_oracle_cap_hint(fig3: Path, capsys: pytest.CaptureFixture[str]) -> None:
-    # The oracle spends 10 units on P of the k = 1 Fig. 3 graph.
+    # The oracle spends 67 units on P of the k = 1 Fig. 3 graph, 7 of them
+    # on its first row, which evaluates the 7 unit rays of (y, t).
     assert main(["oracle", str(fig3), "--max-oracle", "2"]) == 3
     err = capsys.readouterr().err
     assert "oracle work cap 2 exceeded" in err

@@ -148,13 +148,13 @@ def test_prime_disjoint_opposite_triangles() -> None:
 
 
 def test_oracle_cap() -> None:
-    # With no equalities the starting lines are the 31 coordinate axes, each
-    # positive on its own inequality: 31 line steps that rewrite nothing, so
-    # 0 units, the one vertex of the orthant, the origin, and its 30 edges.
+    # With no rows nothing cuts the 31 starting unit rays of (y, t), so they
+    # are the answer at 0 units: t gives the orthant's one vertex, the
+    # origin, and the 30 others its edges.
     result = oracle_vertices(HRep(30, ()), 1)
     assert [p.entries for p in result.points] == [(0,) * 30]
     assert {d.items for d in result.directions} == {((j, 1),) for j in range(30)}
-    # An 8-node, 30-arc graph that needs 1,141,647 units: the cap aborts it
+    # An 8-node, 30-arc graph that needs 1,370,786 units: the cap aborts it
     # loudly instead of returning the vertices found so far.
     with pytest.raises(CapExceeded) as exc:
         oracle_vertices(build_P(gen_random(8, 30, (-3, 3), 0)), 2**20)
@@ -216,18 +216,22 @@ RATIONAL_WEIGHTS = _arcs(
 )
 
 
-# The oracle cap bounds line rewrites plus adjacency-scan reads. For the
+# The oracle cap bounds row evaluations plus adjacency-scan reads. For the
 # strategy above (<= 4 nodes, <= 7 arcs) 100,000 random draws found no run
-# on P above 280 units; an earlier hill-climbing search over 12,000 more
-# graphs found none above 285 for P or P'. Nor did 100,000 `hreps()` draws
-# find one above 51: this cap leaves 7x headroom over the largest seen.
+# above 377 units on P or 456 on P'; a hill-climbing search over 12,000
+# more graphs found none above 452 on P or 554 on P'. Nor did 100,000
+# `hreps()` draws find one above 218: this cap leaves 3.7x headroom over
+# the largest seen.
 STRATEGY_ORACLE_CAP = 2**11
 
 
 # Three weight-0 loops at node 0, two weight -1 arcs 0->1 and two weight-0
-# arcs 1->0: 2^7 supports, but the oracle on P spends 16 units. Four lines
-# are flipped and four rays rewritten, and the two adjacent pairs each
-# scan the four other rays.
+# arcs 1->0: 2^7 supports, but the oracle on P spends 72 units. Node 0's
+# row evaluates the 8 unit rays (8 units) and keeps the loops and t; each
+# of its four (+, -) pairs scans the 6 other rays (24) and adds a digon.
+# Node 1's row is zero on all 8 rays (8), so it cuts nothing. The weight
+# row evaluates them (8) and pairs t with each digon, scanning 6 rays each
+# (24): four vertices, and the three loops as directions.
 LOOPY_MULTIGRAPH = _arcs(
     2,
     (0, 0, 0), (0, 0, 0), (0, 0, 0),
@@ -238,9 +242,9 @@ LOOPY_MULTIGRAPH = _arcs(
 
 def test_oracle_work_cap() -> None:
     with pytest.raises(CapExceeded) as exc:
-        oracle_vertices(build_P(LOOPY_MULTIGRAPH), 15)
+        oracle_vertices(build_P(LOOPY_MULTIGRAPH), 71)
     assert exc.value.kind == "oracle work"
-    assert len(oracle_vertices(build_P(LOOPY_MULTIGRAPH), 16).points) == 4
+    assert len(oracle_vertices(build_P(LOOPY_MULTIGRAPH), 72).points) == 4
 
 
 @settings(max_examples=60, deadline=None)
@@ -352,7 +356,7 @@ def test_builders_match_rational_reference_on_corpus(
 
 def test_builders_and_oracle_use_no_fraction_arithmetic(fraction_calls) -> None:
     # Each builder scales the weights once, at three reads per weight; rows,
-    # elimination and vertices are integers throughout.
+    # rays and vertices are integers throughout.
     def run() -> tuple[VertexSet, VertexSet]:
         g = RATIONAL_WEIGHTS
         return oracle_vertices(build_P(g), 2**8), oracle_vertices(build_P_prime(g), 2**8)
@@ -567,9 +571,15 @@ def _matches_reference(h: HRep, prime: HRep, cap: int) -> bool:
     )
 
 
-# y_0 + y_1 = 1: the first nullspace line is (-1, 1, 0), so the oracle must
-# flip it to be positive on y_0 before it becomes a ray.
-FLIPPED_LINE = HRep(2, ((1, 1, 1),))
+# y_0 + y_1 = 1, a segment: the row is positive on the unit rays of y_0 and
+# y_1 and negative on t's, so each vertex is the combination of one pair.
+SEGMENT = HRep(2, ((1, 1, 1),))
+# y_0 + y_1 = -1: the row is positive on every unit ray, so the cut empties
+# the cone, and phase 1 must find the rows infeasible.
+EMPTY_CUT = HRep(2, ((1, 1, -1),))
+# The second row is the first at twice its scale: it is zero on every ray
+# the first one leaves, so it cuts nothing.
+DOUBLED_ROW = HRep(3, ((1, -1, 2, 1), (2, -2, 4, 2)))
 # 0 y_0 = 1 is infeasible: its cone forces t = 0 and has the ray (1, 0),
 # which is no vertex.
 T_ZERO = HRep(1, ((0, 1),))
@@ -582,7 +592,9 @@ NO_COLUMNS = HRep(0, ())
 @example(LOOPY_MULTIGRAPH)
 @example(RATIONAL_WEIGHTS)
 @example(ZERO_THEN_PIVOT)
-@example(FLIPPED_LINE)
+@example(SEGMENT)
+@example(EMPTY_CUT)
+@example(DOUBLED_ROW)
 @example(T_ZERO)
 @example(NO_COLUMNS)
 def test_oracle_matches_support_enumeration(case: HRep | WeightedDigraph) -> None:
