@@ -5,6 +5,8 @@ canonical rotation (starting at its smallest arc id) so equal cycles compare
 equal. Self-loops are cycles of length 1; parallel arcs yield distinct
 cycles over the same node sequence. Johnson's blocked search on arcs lists
 them in O((n + m)(c + 1)) time for c cycles, with no strong-component pass.
+Decomposition reads only the circulation's support, as integer numerators;
+a coefficient becomes a ``Fraction`` only when its term is built.
 """
 from __future__ import annotations
 
@@ -14,7 +16,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 from .errors import CapExceeded, NotACirculation
-from .graph import Arc, ArcVector, WeightedDigraph, _scaled
+from .graph import ArcVector, WeightedDigraph, _scaled, _successors
 
 
 class TwoCycleShape(Enum):
@@ -85,9 +87,7 @@ def _iter_arc_cycles(g: WeightedDigraph) -> Iterator[tuple[int, ...]]:
     walk by O((n + m)(c + 1)) for c cycles without a strong-component pass.
     No ordering guarantee: callers sort canonical forms.
     """
-    succ: dict[int, list[tuple[int, int]]] = {}
-    for arc in g.arcs:
-        succ.setdefault(arc.tail, []).append((arc.arc_id, arc.head))
+    succ = _successors(g.arcs)
     for start in sorted(succ):
         blocked = {start}
         closed: set[int] = set()  # path nodes a cycle has closed through
@@ -229,42 +229,27 @@ def enumerate_two_cycles(
 
 
 def _find_cycle_through(
-    g: WeightedDigraph,
-    out_arcs: dict[int, list[Arc]],
-    arc_id: int,
-    values: list[Fraction],
+    g: WeightedDigraph, succ: dict[int, list[tuple[int, int]]], arc_id: int
 ) -> list[int]:
-    """A simple cycle through ``arc_id`` using only positive-value arcs;
-    ``out_arcs`` holds at least those, by tail in arc-id order."""
+    """A simple cycle through ``arc_id`` on the arcs in ``succ``: a depth-first
+    search from its head back to its tail that tries out-arcs in id order
+    and enters each node once."""
     first = g.arcs[arc_id]
-    if first.tail == first.head:
-        return [arc_id]
-    target = first.tail
-    visited = {first.head}
-    # DFS frames: [node, next out-arc position]; arcs tried in id order.
-    frames: list[list[int]] = [[first.head, 0]]
-    trail: list[int] = []
-    while frames:
-        frame = frames[-1]
-        succ = out_arcs.get(frame[0], ())
-        moved = False
-        while frame[1] < len(succ):
-            arc = succ[frame[1]]
-            frame[1] += 1
-            if values[arc.arc_id] <= 0:
-                continue
-            if arc.head == target:
-                return [arc_id] + trail + [arc.arc_id]
-            if arc.head not in visited:
-                visited.add(arc.head)
-                trail.append(arc.arc_id)
-                frames.append([arc.head, 0])
-                moved = True
+    visited: set[int] = set()
+    path: list[int] = []
+    stack = [iter([(arc_id, first.head)])]
+    while stack:
+        for i, head in stack[-1]:
+            if head == first.tail:
+                return [*path, i]
+            if head not in visited:
+                visited.add(head)
+                path.append(i)
+                stack.append(iter(succ.get(head, ())))
                 break
-        if not moved:
-            frames.pop()
-            if trail:
-                trail.pop()
+        else:
+            stack.pop()
+            del path[-1:]
     raise NotACirculation(f"no cycle through arc {arc_id} in support")
 
 
@@ -278,34 +263,31 @@ def decompose_circulation(g: WeightedDigraph, y: ArcVector) -> CycleDecompositio
     """
     if len(y) != g.arc_count:
         raise ValueError("vector dimension does not match arc count")
-    values = list(y.entries)
-    for i, v in enumerate(values):
-        if v < 0:
-            raise NotACirculation(f"negative value {v} on arc {i}")
-    # One pass over the arcs: the support's arcs by tail and the net flow
-    # out of each node they touch, so nothing is built per declared node.
-    out_arcs: dict[int, list[Arc]] = {}
-    balance: dict[int, Fraction] = {}
-    for arc in g.arcs:
-        v = values[arc.arc_id]
-        if v:
-            out_arcs.setdefault(arc.tail, []).append(arc)
-            balance[arc.tail] = balance.get(arc.tail, 0) + v
-            balance[arc.head] = balance.get(arc.head, 0) - v
+    balance: dict[int, int] = {}
+    for i, n in y.items:
+        if n < 0:
+            raise NotACirculation(f"negative value {Fraction(n, y.den)} on arc {i}")
+        arc = g.arcs[i]
+        balance[arc.tail] = balance.get(arc.tail, 0) + n
+        balance[arc.head] = balance.get(arc.head, 0) - n
     unbalanced = [node for node, b in balance.items() if b]
     if unbalanced:
         node = min(unbalanced)
         raise NotACirculation(f"flow conservation violated at node {node}", node=node)
+    values = dict(y.items)
+    # Positive arcs only: an arc leaves its list when its value reaches 0.
+    succ = _successors(g.arcs[i] for i in values)
     terms: list[tuple[Cycle, Fraction]] = []
-    while True:
-        support = [i for i, v in enumerate(values) if v > 0]
-        if not support:
-            break
-        seq = _find_cycle_through(g, out_arcs, support[0], values)
-        coeff = min(values[i] for i in seq)
-        for i in seq:
-            values[i] -= coeff
-        terms.append((make_cycle(g, seq), coeff))
+    # Values only fall, so the smallest positive arc id never decreases.
+    for first in values:
+        while values[first]:
+            seq = _find_cycle_through(g, succ, first)
+            coeff = min(values[i] for i in seq)
+            for i in seq:
+                values[i] -= coeff
+                if not values[i]:
+                    succ[g.arcs[i].tail].remove((i, g.arcs[i].head))
+            terms.append((make_cycle(g, seq), Fraction(coeff, y.den)))
     return CycleDecomposition(tuple(terms))
 
 

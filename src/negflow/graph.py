@@ -22,7 +22,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import gcd, lcm
 from numbers import Rational
 from typing import Iterable, Sequence
@@ -92,13 +91,15 @@ class WeightedDigraph:
     def arc_count(self) -> int:
         return len(self.arcs)
 
-    @cached_property
-    def out_arcs(self) -> tuple[tuple[Arc, ...], ...]:
-        """Arcs grouped by tail node, in arc-id order."""
-        buckets: list[list[Arc]] = [[] for _ in range(self.node_count)]
-        for arc in self.arcs:
-            buckets[arc.tail].append(arc)
-        return tuple(tuple(b) for b in buckets)
+
+def _successors(arcs: Iterable[Arc]) -> dict[int, list[tuple[int, int]]]:
+    """``(arc id, head)`` pairs keyed by tail, in the order of ``arcs``; a
+    node without an out-arc among them has no key, so nothing is built per
+    declared node."""
+    succ: dict[int, list[tuple[int, int]]] = {}
+    for arc in arcs:
+        succ.setdefault(arc.tail, []).append((arc.arc_id, arc.head))
+    return succ
 
 
 @dataclass(frozen=True, slots=True, init=False)

@@ -18,7 +18,14 @@ from fractions import Fraction
 from .characterize import _bool
 from .cycles import Cycle, make_cycle
 from .errors import CapExceeded, NegflowError, ParseError
-from .graph import Arc, ArcVector, WeightedDigraph, _parse_int, characteristic_vector
+from .graph import (
+    Arc,
+    ArcVector,
+    WeightedDigraph,
+    _parse_int,
+    _successors,
+    characteristic_vector,
+)
 
 MAX_SAT_VARIABLES = 24
 
@@ -175,6 +182,11 @@ def build_reduction(f: CnfFormula) -> ReductionArtifact:
         arcs.append(Arc(len(arcs), tail, head, weight))
         return len(arcs) - 1
 
+    # Each literal's occurrences as (clause, position), in clause order.
+    chains: dict[int, list[tuple[int, int]]] = {}
+    for j, clause in enumerate(f.clauses):
+        for pos, lit in enumerate(clause):
+            chains.setdefault(lit, []).append((j, pos))
     occ_nodes: dict[tuple[int, int], tuple[int, int]] = {}
     occ_var_arcs: dict[tuple[int, int], tuple[int, int, int]] = {}
     degenerate: list[int] = []
@@ -183,12 +195,7 @@ def build_reduction(f: CnfFormula) -> ReductionArtifact:
         for polarity in (1, -1):
             lit = polarity * var
             starts.append(len(arcs))
-            chain = [
-                (j, pos)
-                for j, clause in enumerate(f.clauses)
-                for pos, l in enumerate(clause)
-                if l == lit
-            ]
+            chain = chains.get(lit, ())
             left = v_nodes[var - 1]
             right = v_nodes[var]
             if not chain:
@@ -401,16 +408,16 @@ def _long_cycle(art: ReductionArtifact, cap: int) -> tuple[int, ...] | None:
 
     arcs: list[int] = []
     # One frame per path node: its segment index and its out-arc iterator.
-    frames = [(0, iter(g.out_arcs[connectors[0]]))]
+    succ = _successors(g.arcs)
+    frames = [(0, iter(succ.get(connectors[0], ())))]
     searched = 0
     while frames:
         k, out = frames[-1]
         target = connectors[k + 1]
-        for arc in out:
-            w = arc.head
+        for arc_id, w in out:
             if on_path[w] or (is_connector[w] and w != target):
                 continue
-            if arcs and no_exit.get(arcs[-1]) == arc.arc_id:
+            if arcs and no_exit.get(arcs[-1]) == arc_id:
                 continue
             j = clause_at.get(w)
             if j is not None and k < variable_count and open_count[j] == 1:
@@ -424,12 +431,12 @@ def _long_cycle(art: ReductionArtifact, cap: int) -> tuple[int, ...] | None:
                 )
             segment = k + 1 if w == target else k
             if segment == last:
-                return (*arcs, arc.arc_id, art.closing_arc)
+                return (*arcs, arc_id, art.closing_arc)
             on_path[w] = True
             if j is not None:
                 open_count[j] -= 1
-            frames.append((segment, iter(g.out_arcs[w])))
-            arcs.append(arc.arc_id)
+            frames.append((segment, iter(succ.get(w, ()))))
+            arcs.append(arc_id)
             break
         else:
             frames.pop()

@@ -38,6 +38,7 @@ from negflow.polyhedra import (
 )
 from negflow.reduction import (
     CnfFormula,
+    ReductionArtifact,
     brute_force_sat,
     build_reduction,
     decide_ve01,
@@ -336,6 +337,60 @@ def test_criterion_4_reduction_soundness(corpus_sweep: SweepTotals) -> None:
     assert corpus_sweep.equivalence_failures == []
     assert corpus_sweep.long_cycle_failures == []
     assert corpus_sweep.decide_failures == []
+
+
+def _is_long_cycle(art: ReductionArtifact, v: ArcVector) -> bool:
+    """Whether the 0/1 point ``v`` is one simple cycle of weight -1 through
+    every connector: each support arc's head leads on to exactly one support
+    arc, and following them from the first returns after all of them."""
+    g = art.graph
+    support = v.support()
+    nxt = {g.arcs[i].tail: i for i in support}
+    if len(nxt) != len(support):
+        return False
+    seen = [support[0]]
+    while (i := nxt.get(g.arcs[seen[-1]].head)) != support[0]:
+        if i is None or len(seen) == len(support):
+            return False
+        seen.append(i)
+    return (
+        len(seen) == len(support)
+        and sum(g.arcs[i].weight for i in support) == -1
+        and set(art.connectors) <= set(nxt)
+    )
+
+
+def test_oracle_checks_the_corollary_on_small_reduction_graphs(
+    cnf_corpus: list[CnfFormula],
+) -> None:
+    # The paper's corollary read off the oracle, which sees only P's
+    # equalities, not the cycle formula: the vertices are 0/1, the trivial
+    # family is among them and is all of them exactly when the formula is
+    # UNSAT, and every other vertex is a long cycle of weight -1.
+    small = [f for f in cnf_corpus if f.variable_count <= 2]
+    assert len(small) == 174
+    failures = []
+    extra_total = 0
+    for idx, f in enumerate(small):
+        art = build_reduction(f)
+        vertices = set(oracle_vertices(build_P(art.graph), ORACLE_CAP).points)
+        family = set(trivial_vertex_family(art))
+        satisfiable, _ = brute_force_sat(f)
+        report = decide_ve01(f, CYCLE_CAP)
+        printed = dict(line.split(": ", 1) for line in report.to_text().splitlines())
+        extra = vertices - family
+        extra_total += len(extra)
+        if not (
+            all(n == 1 and v.den == 1 for v in vertices for _, n in v.items)
+            and family <= vertices
+            and (not extra) == (not satisfiable)
+            and all(_is_long_cycle(art, v) for v in extra)
+            and report.satisfiable == satisfiable
+            and (satisfiable or printed["vertex_count"] == str(len(vertices)))
+        ):
+            failures.append(idx)
+    assert failures == []
+    assert extra_total == 1054  # frozen with the corpus
 
 
 def test_criterion_5_fig3_counts() -> None:

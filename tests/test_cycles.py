@@ -5,6 +5,7 @@ The independent oracle here is a plain backtracking enumerator
 implementation under test; networkx cross-checks node cycles.
 """
 import random
+import time
 from fractions import Fraction
 from typing import Sequence
 
@@ -40,10 +41,13 @@ TRIANGLE = parse_graph("p 3 3\na 1 2 -1\na 2 3 -1\na 3 1 -1\n")
 def brute_cycles(g: WeightedDigraph) -> set[tuple[int, ...]]:
     """All simple arc cycles, each rotated to start at its smallest arc id."""
     found: set[tuple[int, ...]] = set()
+    out_arcs: list[list[Arc]] = [[] for _ in range(g.node_count)]
+    for arc in g.arcs:
+        out_arcs[arc.tail].append(arc)
 
     def recurse(node: int, path: list[int], visited: set[int]) -> None:
         origin = g.arcs[path[0]].tail
-        for arc in g.out_arcs[node]:
+        for arc in out_arcs[node]:
             if arc.arc_id <= path[0]:
                 continue
             if arc.head == origin:
@@ -467,6 +471,42 @@ def test_decompose_names_the_lowest_unbalanced_node() -> None:
 def test_decompose_dimension_mismatch() -> None:
     with pytest.raises(ValueError):
         decompose_circulation(TRIANGLE, ArcVector((Fraction(0),) * 2))
+
+
+def test_decompose_disjoint_digons_in_one_pass_over_the_support() -> None:
+    # Listing the support among all m arcs in every round took 17.6 s on a
+    # 2-core x86 VM for these 4,000 digons.
+    k = 4000
+    g = WeightedDigraph(2 * k, tuple(Arc(i, i, i ^ 1, Fraction(0)) for i in range(2 * k)))
+    y = ArcVector.from_ints(2 * k, 1, [(i, 1) for i in range(2 * k)])
+    start = time.perf_counter()
+    dec = decompose_circulation(g, y)
+    elapsed = time.perf_counter() - start
+    assert [(c.arc_ids, coeff) for c, coeff in dec.terms] == [
+        ((i, i + 1), 1) for i in range(0, 2 * k, 2)
+    ]
+    assert elapsed < 1.0
+
+
+def test_decompose_star_skips_spent_arcs() -> None:
+    # Arcs leaf_i -> hub come first, so every round's search starts at the
+    # hub. Skipping its spent out-arcs to earlier leaves one by one, with the
+    # support listed among all m arcs in every round, took 15.7 s on a
+    # 2-core x86 VM.
+    k = 4000
+    g = WeightedDigraph(
+        k + 1,
+        tuple(Arc(i, i + 1, 0, Fraction(0)) for i in range(k))
+        + tuple(Arc(k + i, 0, i + 1, Fraction(0)) for i in range(k)),
+    )
+    y = ArcVector.from_ints(2 * k, 3, [(i, 2) for i in range(2 * k)])
+    start = time.perf_counter()
+    dec = decompose_circulation(g, y)
+    elapsed = time.perf_counter() - start
+    assert [(c.arc_ids, coeff) for c, coeff in dec.terms] == [
+        ((i, k + i), Fraction(2, 3)) for i in range(k)
+    ]
+    assert elapsed < 1.0
 
 
 @settings(max_examples=60, deadline=None)

@@ -10,6 +10,7 @@ from negflow.graph import (
     Arc,
     ArcVector,
     WeightedDigraph,
+    _successors,
     characteristic_vector,
     parse_arc_vector,
     parse_graph,
@@ -110,7 +111,13 @@ def test_arc_ids_must_be_positional() -> None:
 def test_parallel_arcs_and_self_loops_allowed() -> None:
     g = parse_graph("p 2 3\na 1 2 1\na 1 2 2\na 2 2 -1\n")
     assert g.arc_count == 3
-    assert [a.arc_id for a in g.out_arcs[0]] == [0, 1]
+    assert _successors(g.arcs) == {0: [(0, 1), (1, 1)], 1: [(2, 1)]}
+
+
+def test_successors_key_only_tails() -> None:
+    g = parse_graph("p 5 2\na 4 2 0\na 2 3 0\n")
+    assert _successors(g.arcs) == {3: [(0, 1)], 1: [(1, 2)]}
+    assert _successors(g.arcs[1:]) == {1: [(1, 2)]}
 
 
 def test_characteristic_vector_examples() -> None:
