@@ -57,8 +57,8 @@ def _build_parser() -> argparse.ArgumentParser:
             type=int,
             default=DEFAULT_ORACLE_CAP,
             help="work cap of the one oracle run on P: one unit per ray a row's "
-            "cut evaluates and per ray an adjacency scan reads "
-            f"(default {DEFAULT_ORACLE_CAP})",
+            "cut evaluates, per ray an adjacency scan reads and per tableau "
+            f"entry a phase-1 pivot computes (default {DEFAULT_ORACLE_CAP})",
         )
 
     p = sub.add_parser("vertices", help="vertices from negative cycles")

@@ -15,7 +15,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-from .errors import CapExceeded, NotACirculation
+from .errors import NotACirculation, _Budget
 from .graph import ArcVector, WeightedDigraph, _scaled, _successors
 
 
@@ -128,14 +128,12 @@ def _weighted_cycles(
     scale), sorted by arc ids, and that scale: the LCM of the arc-weight
     denominators, so each scaled weight is an ``int``. Raises CapExceeded
     as soon as more than ``cap`` cycles are found."""
-    if cap < 1:
-        raise ValueError("cap must be positive")
+    budget = _Budget("cycles", cap, f"graph has more than {cap} cycles")
     ints, scale = _scaled([arc.weight for arc in g.arcs])
     found = []
     for seq in _iter_arc_cycles(g):
+        budget.spend(1)
         found.append((_canonical(seq), sum([ints[i] for i in seq])))
-        if len(found) > cap:
-            raise CapExceeded("cycles", cap, f"graph has more than {cap} cycles")
     found.sort()  # arc ids are distinct, so the weights are never compared
     return found, scale
 
@@ -187,10 +185,8 @@ def _two_cycle_pairs(
     for k, (arc_ids, w) in enumerate(cycles):
         if w:
             (negatives if w < 0 else positives).append((k, *_masks(g, arc_ids)))
-    if len(negatives) * len(positives) > cap:
-        raise CapExceeded(
-            "two-cycle pairs", cap, f"{len(negatives) * len(positives)} pairs"
-        )
+    pairs = len(negatives) * len(positives)
+    _Budget("two-cycle pairs", cap, f"{pairs} pairs").spend(pairs)
     out = []
     for i, arcs1, nodes1 in negatives:
         for j, arcs2, nodes2 in positives:

@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and `_Budget`: every capped
+stage counts its work on one, and only a budget raises `CapExceeded`."""
 from __future__ import annotations
 
 
@@ -24,10 +25,27 @@ class CapExceeded(NegflowError):
         super().__init__(f"{kind} cap {cap} exceeded{detail}")
 
 
+class _Budget:
+    """Counts work units against a hard cap of at least 1: ``spend`` raises
+    CapExceeded, with ``detail``, once more than ``cap`` are used."""
+
+    def __init__(self, kind: str, cap: int, detail: str = "") -> None:
+        if cap < 1:
+            raise ValueError("cap must be positive")
+        self.kind = kind
+        self.cap = cap
+        self.detail = detail
+        self.used = 0
+
+    def spend(self, amount: int) -> None:
+        self.used += amount
+        if self.used > self.cap:
+            raise CapExceeded(self.kind, self.cap, self.detail)
+
+
 class NotACirculation(NegflowError):
     """A vector violates flow conservation or nonnegativity."""
 
     def __init__(self, message: str, node: int | None = None) -> None:
         self.node = node
         super().__init__(message)
-

@@ -7,9 +7,9 @@ one equality row at a time. One run yields a polyhedron's vertices and its
 extreme directions (on P, the vertices of P'). An H-representation holds
 integer rows, its weight row scaled once by the LCM of the weight
 denominators. One fraction-free pivot serves the vertex certifier and
-phase 1. Row evaluations and adjacency scans are charged against one work
-budget. The oracle is deliberately independent of the cycle-based
-characterization it is used to validate.
+phase 1. Row evaluations, adjacency scans and phase-1 pivots are all
+charged to one work budget. The oracle is deliberately independent of the
+cycle-based characterization it is used to validate.
 """
 from __future__ import annotations
 
@@ -17,19 +17,19 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Sequence
 
-from .errors import CapExceeded, NegflowError
+from .errors import NegflowError, _Budget
 from .graph import ArcVector, WeightedDigraph, _scaled, sorted_points
 
-# Work units: 1 per ray a row's cut evaluates plus 1 per ray each pair
-# test's adjacency scan reads. The one run on P peaks at 700 units on the
-# seed-1 `verify-oracle` benchmark pool (m <= 10) and at 30,683 on all 720
-# 8-node, 20-arc graphs of the seed-1 `directions-dense` pool, so 20-arc
-# graphs fit this cap. The double description spends about 14 M units per
-# second (2-core x86 VM, Python 3.11), so the cap ends it within a tenth of
-# a second. The two phase-1 checks are the one stage it does not bound: on
-# a ring of n nodes with one weight -1 arc and n - 1 weight-0 arcs, the run
-# spends n^2 + n + 2 units, yet phase 1 takes about 0.6 s at n = 200 and
-# 4 s at n = 400.
+# Work units: 1 per ray a row's cut evaluates, 1 per ray a pair test's
+# adjacency scan reads and 1 per tableau entry a phase-1 pivot computes.
+# One run on P peaks at 2,924 units on the seed-1 and seed-2 `verify-oracle`
+# pools (m <= 10) and at 38,993 on their 20-arc `directions-dense` graphs.
+# On a 2-core x86 VM with Python 3.11 the double description spends 10-14 M
+# units/s on 13-34-arc random graphs and 1-2 M on rings (dense rays), and
+# phase 1 9-13 M and 23-33 M: the cap ends every run measured within 1 s.
+# The 400-node ring with one weight -1 arc and 399 weight-0 arcs spends
+# 160,402 units in the double description and 402 x 802 per phase-1 pivot,
+# so it stops before its third pivot, after 0.1-0.15 s.
 DEFAULT_ORACLE_CAP = 2**20
 
 
@@ -57,20 +57,6 @@ class VertexSet:
 
     points: tuple[ArcVector, ...]
     directions: tuple[ArcVector, ...] = ()
-
-
-class _Budget:
-    """Counts work units against a hard cap."""
-
-    def __init__(self, kind: str, cap: int) -> None:
-        self.kind = kind
-        self.cap = cap
-        self.used = 0
-
-    def spend(self, amount: int) -> None:
-        self.used += amount
-        if self.used > self.cap:
-            raise CapExceeded(self.kind, self.cap)
 
 
 def build_P(g: WeightedDigraph) -> HRep:
@@ -163,17 +149,15 @@ def oracle_vertices(h: HRep, cap: int = DEFAULT_ORACLE_CAP) -> VertexSet:
     the mask of the coordinates it is zero on. Each row ``a = (A_i, -b_i)``
     then cuts the cone: the rays with ``a . v = 0`` stay, each (positive,
     negative) pair whose common mask lies in no third ray's mask adds its
-    combination with ``a . v = 0``, and the other rays go. The
-    ``"oracle work"`` budget is charged 1 per ray a cut evaluates and 1 per
-    ray an adjacency scan reads. Exact phase 1 cross-checks both sets, or
-    raises `NegflowError`: the rows are feasible iff there is a vertex
-    (``y >= 0`` makes the polyhedron pointed), the recession slice iff a
-    direction.
+    combination with ``a . v = 0``, and the other rays go. Exact phase 1
+    cross-checks both sets, or raises `NegflowError`: the rows are feasible
+    iff there is a vertex (``y >= 0`` makes the polyhedron pointed), the
+    recession slice iff a direction. The one ``"oracle work"`` budget is
+    charged 1 per ray a cut evaluates, 1 per ray an adjacency scan reads
+    and 1 per tableau entry each phase-1 pivot computes.
     """
-    if cap < 1:
-        raise ValueError("cap must be positive")
-    m = h.dimension
     budget = _Budget("oracle work", cap)
+    m = h.dimension
     # Rows 0 = 0 (a node with no arcs, or only loops) hold no constraint.
     rows = [row for row in h.rows if any(row)]
     full = (1 << (m + 1)) - 1
@@ -207,9 +191,9 @@ def oracle_vertices(h: HRep, cap: int = DEFAULT_ORACLE_CAP) -> VertexSet:
             points.append(ArcVector.from_ints(m, v[m], items))
         else:
             directions.append(ArcVector.from_ints(m, sum(v[:m]), items))
-    if _phase1_feasible(rows, m) != bool(points):
+    if _phase1_feasible(rows, m, budget) != bool(points):
         raise NegflowError("phase 1 contradicts the vertex enumeration")
-    if _phase1_feasible(_recession_slice(rows, m), m) != bool(directions):
+    if _phase1_feasible(_recession_slice(rows, m), m, budget) != bool(directions):
         raise NegflowError("phase 1 contradicts the direction enumeration")
     return VertexSet(sorted_points(points), sorted_points(directions))
 
@@ -231,9 +215,10 @@ def oracle_certifies_vertex(h: HRep, y: ArcVector) -> bool:
     )
 
 
-def _phase1_feasible(rows: Sequence[Sequence[int]], n: int) -> bool:
+def _phase1_feasible(rows: Sequence[Sequence[int]], n: int, budget: _Budget) -> bool:
     """Exact phase-1 simplex with Bland's rule on the integer equalities
     ``coeffs + [rhs]`` over ``n`` columns: is the polyhedron nonempty?
+    Each pivot spends one unit of ``budget`` per tableau entry it computes.
 
     The tableau stays integer under the fraction-free `_pivot`. Every pivot
     is positive, so each entry keeps the sign of its rational counterpart,
@@ -275,6 +260,7 @@ def _phase1_feasible(rows: Sequence[Sequence[int]], n: int) -> bool:
                 leaving = i
         if leaving < 0:
             raise NegflowError("phase-1 objective unbounded")
+        budget.spend((m + 1) * (width + 1))
         _pivot(tableau, leaving, entering, prev)
         prev = tableau[leaving][entering]
         basis[leaving] = entering

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .characterize import _bool
 from .cycles import Cycle, make_cycle
-from .errors import CapExceeded, NegflowError, ParseError
+from .errors import NegflowError, ParseError, _Budget
 from .graph import (
     Arc,
     ArcVector,
@@ -348,10 +348,11 @@ def decide_ve01(f: CnfFormula, cap: int) -> Ve01Report:
     Raises CapExceeded, with the number of nodes searched, as soon as more
     than ``cap`` search nodes are entered.
     """
-    if cap < 1:
-        raise ValueError("cap must be positive")
+    budget = _Budget(
+        "search nodes", cap, f"searched {cap} nodes, no long cycle completed"
+    )
     art = build_reduction(f)
-    seq = _long_cycle(art, cap)
+    seq = _long_cycle(art, budget)
     if seq is None:
         return Ve01Report(art, None, None)
     certificate = make_cycle(art.graph, seq)
@@ -375,9 +376,10 @@ def decide_ve01(f: CnfFormula, cap: int) -> Ve01Report:
     return Ve01Report(art, certificate, witness)
 
 
-def _long_cycle(art: ReductionArtifact, cap: int) -> tuple[int, ...] | None:
+def _long_cycle(art: ReductionArtifact, budget: _Budget) -> tuple[int, ...] | None:
     """Arc ids of the first negative cycle outside the digon family, in
-    traversal order from v0, or None when there is none.
+    traversal order from v0, or None when there is none. Each search node
+    entered spends one unit of ``budget``.
 
     Only the closing arc and the a-node arcs weigh anything, and each
     a-node is passed p-a-b (net 0), b-a-s (0), p-a-s (+1) or b-a-b (-1,
@@ -410,7 +412,6 @@ def _long_cycle(art: ReductionArtifact, cap: int) -> tuple[int, ...] | None:
     # One frame per path node: its segment index and its out-arc iterator.
     succ = _successors(g.arcs)
     frames = [(0, iter(succ.get(connectors[0], ())))]
-    searched = 0
     while frames:
         k, out = frames[-1]
         target = connectors[k + 1]
@@ -422,13 +423,7 @@ def _long_cycle(art: ReductionArtifact, cap: int) -> tuple[int, ...] | None:
             j = clause_at.get(w)
             if j is not None and k < variable_count and open_count[j] == 1:
                 continue
-            searched += 1
-            if searched > cap:
-                raise CapExceeded(
-                    "search nodes",
-                    cap,
-                    f"searched {cap} nodes, no long cycle completed",
-                )
+            budget.spend(1)
             segment = k + 1 if w == target else k
             if segment == last:
                 return (*arcs, arc_id, art.closing_arc)

@@ -227,13 +227,13 @@ def test_format_point_sparse() -> None:
 
 
 def test_format_point_reduces_each_entry() -> None:
-    (d,) = oracle_vertices(build_P(RATIONAL_WEIGHTS), 2**8).directions
+    (d,) = oracle_vertices(build_P(RATIONAL_WEIGHTS)).directions
     assert (d.den, d.items) == (20, ((0, 9), (1, 2), (2, 2), (3, 7)))
     assert format_point(d) == "0 9/20 1 1/10 2 1/10 3 7/20"
     v = ArcVector((Fraction(-6, 4), Fraction(0), Fraction(-2), Fraction(1, 6)))
     assert format_point(v) == "0 -3/2 2 -2 3 1/6"
     # The only point of an empty system in 30 arcs is the origin.
-    (origin,) = oracle_vertices(HRep(30, ()), 2**8).points
+    (origin,) = oracle_vertices(HRep(30, ())).points
     assert format_tagged_point("v", origin) == "v"
 
 
@@ -256,12 +256,12 @@ def graphs(draw: st.DrawFn) -> WeightedDigraph:
     return _arcs(n, *arcs)
 
 
-# The oracle cap bounds row evaluations plus adjacency-scan reads of the
-# one run on P. For the strategy above (<= 4 nodes, <= 7 arcs) 100,000
-# random draws found none above 377 units; a hill-climbing search over
-# 12,000 more graphs found none above 452 on P or 554 on P'. This cap
-# leaves 3.7x headroom over the largest seen.
-STRATEGY_ORACLE_CAP = 2**11
+# The oracle cap bounds row evaluations, adjacency-scan reads and phase-1
+# tableau entries of the one run on P. For the strategy above (<= 4 nodes,
+# <= 7 arcs) 100,000 random draws found none above 1,487 units, and
+# hill-climbing searches of 28,000 more graphs none above 2,243. This cap
+# leaves 3.6x headroom over the largest seen.
+STRATEGY_ORACLE_CAP = 2**13
 
 
 # A digon weighing 1/3 - 1/2 sharing arc 0->1 with a triangle weighing
@@ -417,9 +417,10 @@ def _theorem1_family() -> list[WeightedDigraph]:
 
 
 # On this family the largest oracle run (P of the 7-node, 34-arc random
-# graph) takes 8,193,516 units; 2^24 leaves 2.0x headroom, so the family
-# runs to the end while an oracle that grew several-fold would abort
-# loudly. The family takes about 7 s; its budget is 30 s on a 2-core VM.
+# graph) takes 8,197,757 units, 4,241 of them in phase 1 (at most 10,216
+# on any graph here); 2^24 leaves 2.0x headroom, so the family runs to the
+# end while an oracle that grew several-fold would abort loudly. The family
+# takes about 7 s; its budget is 30 s on a 2-core VM.
 THEOREM1_ORACLE_CAP = 2**24
 
 

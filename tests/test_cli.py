@@ -9,7 +9,10 @@ import pytest
 
 from negflow import reduction
 from negflow.cli import main
-from negflow.reduction import build_reduction
+from negflow.cycles import enumerate_cycles, enumerate_two_cycles
+from negflow.graph import parse_graph
+from negflow.polyhedra import build_P, oracle_vertices
+from negflow.reduction import build_reduction, decide_ve01, parse_dimacs_cnf
 
 TRIANGLE = "p 3 3\na 1 2 -1\na 2 3 -1\na 3 1 -1\n"
 TAUTOLOGY = "p cnf 1 1\n1 -1 0\n"
@@ -469,14 +472,57 @@ def test_cap_exceeded_exits_3(fig3: Path, capsys: pytest.CaptureFixture[str]) ->
 
 
 def test_oracle_cap_hint(fig3: Path, capsys: pytest.CaptureFixture[str]) -> None:
-    # The oracle spends 67 units on P of the k = 1 Fig. 3 graph, 7 of them
-    # on its first row, which evaluates the 7 unit rays of (y, t).
-    assert main(["oracle", str(fig3), "--max-oracle", "2"]) == 3
+    # The oracle spends 575 units on P of the k = 1 Fig. 3 graph: 67 in the
+    # double description, then 508 in phase 1's pivots (two on P's 6 x 12
+    # tableau, four on the recession slice's 7 x 13 one).
+    assert main(["oracle", str(fig3), "--max-oracle", "574"]) == 3
     err = capsys.readouterr().err
-    assert "oracle work cap 2 exceeded" in err
-    assert "--max-oracle" in err
+    assert err == "error: oracle work cap 574 exceeded; raise --max-oracle\n"
+    assert main(["oracle", str(fig3), "--max-oracle", "575"]) == 0
 
 
-def test_cap_must_be_positive(fig3: Path, capsys: pytest.CaptureFixture[str]) -> None:
-    assert main(["vertices", str(fig3), "--max-cycles", "0"]) == 2
-    assert "error:" in capsys.readouterr().err
+# Every capped stage rejects a cap below 1 the same way, from its one work
+# budget; the CLI checks `--max-cycles` itself, before any stage runs. The
+# triangle has one cycle and no sign-mixed pair, so the pair test would
+# have nothing to count.
+@pytest.mark.parametrize(
+    "run, message",
+    [
+        pytest.param(
+            lambda g, f: enumerate_cycles(g, 0),
+            "cap must be positive",
+            id="enumerate_cycles",
+        ),
+        pytest.param(
+            lambda g, f: enumerate_two_cycles(g, enumerate_cycles(g, 1), 0),
+            "cap must be positive",
+            id="enumerate_two_cycles",
+        ),
+        pytest.param(
+            lambda g, f: oracle_vertices(build_P(g), 0),
+            "cap must be positive",
+            id="oracle_vertices",
+        ),
+        pytest.param(
+            lambda g, f: decide_ve01(f, 0), "cap must be positive", id="decide_ve01"
+        ),
+        pytest.param(
+            ["vertices", "--max-cycles", "0"],
+            "cycle cap must be positive",
+            id="max-cycles",
+        ),
+        pytest.param(
+            ["oracle", "--max-oracle", "0"], "cap must be positive", id="max-oracle"
+        ),
+    ],
+)
+def test_cap_must_be_positive(
+    run, message: str, triangle: Path, capsys: pytest.CaptureFixture[str]
+) -> None:
+    if callable(run):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            run(parse_graph(TRIANGLE), parse_dimacs_cnf(TAUTOLOGY))
+    else:
+        command, *options = run
+        assert main([command, str(triangle), *options]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"

@@ -99,16 +99,14 @@ def test_self_loop_is_a_cycle() -> None:
 
 
 def test_cap_exceeded() -> None:
+    # The k = 2 Fig. 3 graph has 9 cycles: the walk raises at the 10th.
     g = gen_fig3(2)
+    assert len(enumerate_cycles(g, 9)) == 9
     with pytest.raises(CapExceeded) as exc:
-        enumerate_cycles(g, 3)
+        enumerate_cycles(g, 8)
     assert exc.value.kind == "cycles"
-    assert exc.value.cap == 3
-
-
-def test_cap_must_be_positive() -> None:
-    with pytest.raises(ValueError):
-        enumerate_cycles(TRIANGLE, 0)
+    assert exc.value.cap == 8
+    assert str(exc.value) == "cycles cap 8 exceeded (graph has more than 8 cycles)"
 
 
 def _reference_make_cycle(g: WeightedDigraph, arc_seq: Sequence[int]) -> Cycle:
@@ -402,18 +400,20 @@ def test_no_positive_cycles_means_no_two_cycles() -> None:
 
 def test_two_cycle_pair_cap() -> None:
     # Three negative and three positive disjoint digons: 6 cycles but
-    # 9 sign-mixed pairs, so a cap of 7 passes cycle enumeration and
-    # then trips on the pair count.
+    # 9 sign-mixed pairs, so a cap of 8 passes cycle enumeration and
+    # then trips on the pair count before any pair is tested.
     lines = ["p 12 12"]
     for i in range(6):
         u, v = 2 * i + 1, 2 * i + 2
         w = "-1" if i < 3 else "1"
         lines += [f"a {u} {v} {w}", f"a {v} {u} 0"]
     g = parse_graph("\n".join(lines) + "\n")
-    cycles = enumerate_cycles(g, 7)
+    cycles = enumerate_cycles(g, 8)
+    assert len(enumerate_two_cycles(g, cycles, 9)) == 9
     with pytest.raises(CapExceeded) as exc:
-        enumerate_two_cycles(g, cycles, 7)
+        enumerate_two_cycles(g, cycles, 8)
     assert exc.value.kind == "two-cycle pairs"
+    assert str(exc.value) == "two-cycle pairs cap 8 exceeded (9 pairs)"
 
 
 def test_decompose_triangle() -> None:

@@ -222,7 +222,7 @@ def test_positive_flow_stays_within_one_component() -> None:
     )
     comps = ((0, 1), (2, 3))
     comp_of = {n: i for i, comp in enumerate(comps) for n in comp}
-    for point in oracle_vertices(build_P(g), 2**10).points:
+    for point in oracle_vertices(build_P(g)).points:
         for arc_id in point.support():
             arc = g.arcs[arc_id]
             assert comp_of[arc.tail] == comp_of[arc.head]

@@ -1,5 +1,6 @@
 """H-representations and the double-description vertex oracle, checked
 against a support-enumeration oracle over `Fraction`."""
+import time
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
@@ -9,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from negflow import polyhedra
-from negflow.errors import CapExceeded, NegflowError
+from negflow.errors import CapExceeded, NegflowError, _Budget
 from negflow.generators import gen_random
 from negflow.graph import Arc, ArcVector, WeightedDigraph, _scaled, parse_graph
 from negflow.polyhedra import (
@@ -58,7 +59,7 @@ def test_self_loop_has_zero_flow_row() -> None:
     h = build_P(g)
     assert h.rows[0] == (0, 0)
     # the loop alone carries the weight constraint
-    assert oracle_vertices(h, 100).points[0].entries == (1,)
+    assert oracle_vertices(h).points[0].entries == (1,)
 
 
 def test_build_P_prime_rows() -> None:
@@ -84,20 +85,20 @@ def test_hrep_rejects_fraction_entries() -> None:
 
 
 def test_digon_unique_feasible_point() -> None:
-    result = oracle_vertices(build_P(DIGON), 100)
+    result = oracle_vertices(build_P(DIGON))
     assert [p.entries for p in result.points] == [(1, 1)]
     assert result.directions == ()
 
 
 def test_empty_graph_infeasible() -> None:
     g = WeightedDigraph(1, ())
-    result = oracle_vertices(build_P(g), 100)
+    result = oracle_vertices(build_P(g))
     assert result.points == ()
     assert result.directions == ()
 
 
 def test_triangle_vertex_set() -> None:
-    result = oracle_vertices(build_P(TRIANGLE), 100)
+    result = oracle_vertices(build_P(TRIANGLE))
     assert [p.entries for p in result.points] == [
         (Fraction(1, 3), Fraction(1, 3), Fraction(1, 3))
     ]
@@ -108,7 +109,7 @@ def test_two_triangles_sharing_a_node() -> None:
     g = parse_graph(
         "p 5 6\na 1 2 -1\na 2 3 -1\na 3 1 0\na 1 4 -1\na 4 5 0\na 5 1 0\n"
     )
-    result = oracle_vertices(build_P(g), 2**8)
+    result = oracle_vertices(build_P(g))
     assert [p.entries for p in result.points] == [
         (0, 0, 0, 1, 1, 1),
         (Fraction(1, 2), Fraction(1, 2), Fraction(1, 2), 0, 0, 0),
@@ -117,48 +118,68 @@ def test_two_triangles_sharing_a_node() -> None:
 
 def test_all_positive_graph_is_empty() -> None:
     g = parse_graph("p 3 3\na 1 2 1\na 2 3 1\na 3 1 1\n")
-    result = oracle_vertices(build_P(g), 100)
+    result = oracle_vertices(build_P(g))
     assert result.points == ()
     assert result.directions == ()
 
 
 def test_prime_zero_triangle() -> None:
     # P is empty, but its recession cone holds the zero triangle.
-    result = oracle_vertices(build_P(ZERO_TRIANGLE), 100)
+    result = oracle_vertices(build_P(ZERO_TRIANGLE))
     assert result.points == ()
     assert [p.entries for p in result.directions] == [
         (Fraction(1, 3), Fraction(1, 3), Fraction(1, 3))
     ]
-    separate = oracle_vertices(build_P_prime(ZERO_TRIANGLE), 100)
+    separate = oracle_vertices(build_P_prime(ZERO_TRIANGLE))
     assert separate.points == result.directions
 
 
 def test_prime_single_negative_cycle_is_empty() -> None:
-    result = oracle_vertices(build_P_prime(TRIANGLE), 100)
+    result = oracle_vertices(build_P_prime(TRIANGLE))
     assert result.points == ()
-    assert oracle_vertices(build_P(TRIANGLE), 100).directions == ()
+    assert oracle_vertices(build_P(TRIANGLE)).directions == ()
 
 
 def test_prime_disjoint_opposite_triangles() -> None:
     g = parse_graph(
         "p 6 6\na 1 2 -1\na 2 3 0\na 3 1 0\na 4 5 1\na 5 6 0\na 6 4 0\n"
     )
-    result = oracle_vertices(build_P_prime(g), 2**8)
+    result = oracle_vertices(build_P_prime(g))
     assert [p.entries for p in result.points] == [(Fraction(1, 6),) * 6]
 
 
 def test_oracle_cap() -> None:
     # With no rows nothing cuts the 31 starting unit rays of (y, t), so they
     # are the answer at 0 units: t gives the orthant's one vertex, the
-    # origin, and the 30 others its edges.
-    result = oracle_vertices(HRep(30, ()), 1)
+    # origin, and the 30 others its edges. Phase 1 on P has no rows either;
+    # on the recession slice it makes one pivot on a 2 x 32 tableau (the
+    # row of ones, the objective; 30 columns, one artificial, the rhs):
+    # 64 units.
+    with pytest.raises(CapExceeded) as exc:
+        oracle_vertices(HRep(30, ()), 63)
+    assert exc.value.kind == "oracle work"
+    result = oracle_vertices(HRep(30, ()), 64)
     assert [p.entries for p in result.points] == [(0,) * 30]
     assert {d.items for d in result.directions} == {((j, 1),) for j in range(30)}
-    # An 8-node, 30-arc graph that needs 1,370,786 units: the cap aborts it
-    # loudly instead of returning the vertices found so far.
+    # An 8-node, 30-arc graph that needs 1,377,747 units (1,370,786 in the
+    # double description, 6,961 in phase 1): the cap aborts it loudly
+    # instead of returning the vertices found so far.
     with pytest.raises(CapExceeded) as exc:
         oracle_vertices(build_P(gen_random(8, 30, (-3, 3), 0)), 2**20)
     assert exc.value.kind == "oracle work"
+
+
+def test_default_cap_bounds_phase_1_on_a_ring() -> None:
+    # 400 nodes, one weight -1 arc and 399 weight-0 arcs: the double
+    # description spends 160,402 units and each phase-1 pivot 402 x 802
+    # more, so the default cap stops the run before its third pivot. Phase 1
+    # ran to the end in about 4 s when it was not charged.
+    n = 400
+    ring = _arcs(n, *((i, (i + 1) % n, -1 if i == 0 else 0) for i in range(n)))
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded):
+        oracle_vertices(build_P(ring))
+    assert time.perf_counter() - start < 1.0
 
 
 def test_oracle_certifies_vertex() -> None:
@@ -179,7 +200,7 @@ def test_oracle_certifies_vertex() -> None:
     mid = vec("1/4", "1/4", "1/4", "1/2", "1/2", "1/2")
     assert feasible(hp, mid)
     assert not oracle_certifies_vertex(hp, mid)
-    for point in oracle_vertices(hp, 2**8).points:
+    for point in oracle_vertices(hp).points:
         assert oracle_certifies_vertex(hp, point)
 
 
@@ -216,22 +237,26 @@ RATIONAL_WEIGHTS = _arcs(
 )
 
 
-# The oracle cap bounds row evaluations plus adjacency-scan reads. For the
-# strategy above (<= 4 nodes, <= 7 arcs) 100,000 random draws found no run
-# above 377 units on P or 456 on P'; a hill-climbing search over 12,000
-# more graphs found none above 452 on P or 554 on P'. Nor did 100,000
-# `hreps()` draws find one above 218: this cap leaves 3.7x headroom over
-# the largest seen.
-STRATEGY_ORACLE_CAP = 2**11
+# The oracle cap bounds row evaluations, adjacency-scan reads and phase-1
+# tableau entries. For the strategy above (<= 4 nodes, <= 7 arcs) 100,000
+# random draws found no run on P above 1,487 units (at most 391 of them in
+# the double description), and 100,000 `hreps()` draws none above 1,416.
+# Hill-climbing searches of 28,000 more runs each found none above 2,243
+# on P or 2,309 on an H-rep: this cap leaves 3.5x headroom over the
+# largest seen.
+STRATEGY_ORACLE_CAP = 2**13
 
 
 # Three weight-0 loops at node 0, two weight -1 arcs 0->1 and two weight-0
-# arcs 1->0: 2^7 supports, but the oracle on P spends 72 units. Node 0's
+# arcs 1->0: 2^7 supports, but the oracle on P spends 220 units. Node 0's
 # row evaluates the 8 unit rays (8 units) and keeps the loops and t; each
 # of its four (+, -) pairs scans the 6 other rays (24) and adds a digon.
 # Node 1's row is zero on all 8 rays (8), so it cuts nothing. The weight
 # row evaluates them (8) and pairs t with each digon, scanning 6 rays each
-# (24): four vertices, and the three loops as directions.
+# (24): four vertices, and the three loops as directions. That is 72 units
+# of double description. Phase 1 then makes two pivots on P's 4 x 11
+# tableau (3 rows and the objective; 7 columns, 3 artificials, the rhs;
+# 88 units) and one on the recession slice's 5 x 12 tableau (60 units).
 LOOPY_MULTIGRAPH = _arcs(
     2,
     (0, 0, 0), (0, 0, 0), (0, 0, 0),
@@ -242,9 +267,9 @@ LOOPY_MULTIGRAPH = _arcs(
 
 def test_oracle_work_cap() -> None:
     with pytest.raises(CapExceeded) as exc:
-        oracle_vertices(build_P(LOOPY_MULTIGRAPH), 71)
+        oracle_vertices(build_P(LOOPY_MULTIGRAPH), 219)
     assert exc.value.kind == "oracle work"
-    assert len(oracle_vertices(build_P(LOOPY_MULTIGRAPH), 72).points) == 4
+    assert len(oracle_vertices(build_P(LOOPY_MULTIGRAPH), 220).points) == 4
 
 
 @settings(max_examples=60, deadline=None)
@@ -268,9 +293,13 @@ def test_oracle_vertices_are_feasible_and_certified(g: WeightedDigraph) -> None:
         assert not oracle_certifies_vertex(h, mid)
 
 
+def _unbounded() -> _Budget:
+    return _Budget("oracle work", 2**62)
+
+
 def test_phase1_drops_only_trivial_zero_rows() -> None:
-    assert _phase1_feasible([(0, 0, 0), (1, 1, 1), (0, 0, 0)], 2)
-    assert not _phase1_feasible([(0, 0, 0), (0, 0, 1), (1, 1, 1)], 2)
+    assert _phase1_feasible([(0, 0, 0), (1, 1, 1), (0, 0, 0)], 2, _unbounded())
+    assert not _phase1_feasible([(0, 0, 0), (0, 0, 1), (1, 1, 1)], 2, _unbounded())
 
 
 # P of TRIANGLE has a vertex and no direction, P of ZERO_TRIANGLE the
@@ -283,20 +312,20 @@ def test_oracle_raises_when_phase1_contradicts_it(
     slice_rows = build_P_prime(g).rows
     honest = polyhedra._phase1_feasible
 
-    def lying(rows, n: int) -> bool:
-        verdict = honest(rows, n)
+    def lying(rows, n: int, budget: _Budget) -> bool:
+        verdict = honest(rows, n, budget)
         about = "direction" if tuple(rows) == slice_rows else "vertex"
         return not verdict if about == lie_about else verdict
 
     monkeypatch.setattr(polyhedra, "_phase1_feasible", lying)
     with pytest.raises(NegflowError, match=f"contradicts the {lie_about}"):
-        oracle_vertices(build_P(g), 100)
+        oracle_vertices(build_P(g))
 
 
 def test_rational_weights_example() -> None:
     h = build_P(RATIONAL_WEIGHTS)
     assert h.rows[-1] == (4, -6, 9, -6, -12)
-    result = oracle_vertices(h, 2**8)
+    result = oracle_vertices(h)
     # The digon weighs -1/6, so its vertex is 6 * chi(digon).
     assert [p.entries for p in result.points] == [(6, 0, 0, 6)]
     # mu * (-1/6) + mu' * 7/12 = 0 and 2 mu + 3 mu' = 1: mu' = 1/10, mu = 7/20.
@@ -359,7 +388,7 @@ def test_builders_and_oracle_use_no_fraction_arithmetic(fraction_calls) -> None:
     # rays and vertices are integers throughout.
     def run() -> tuple[VertexSet, VertexSet]:
         g = RATIONAL_WEIGHTS
-        return oracle_vertices(build_P(g), 2**8), oracle_vertices(build_P_prime(g), 2**8)
+        return oracle_vertices(build_P(g)), oracle_vertices(build_P_prime(g))
 
     (vertices, directions), calls = fraction_calls(run)
     assert (len(vertices.points), len(directions.points)) == (1, 1)
@@ -509,7 +538,8 @@ def test_certifier_matches_fraction_reference(case: tuple[HRep, list[int]]) -> N
 @example(build_P(RATIONAL_WEIGHTS))
 @example(build_P_prime(RATIONAL_WEIGHTS))
 def test_phase1_matches_fraction_reference(h: HRep) -> None:
-    assert _phase1_feasible(list(h.rows), h.dimension) == _reference_phase1(h)
+    verdict = _phase1_feasible(list(h.rows), h.dimension, _unbounded())
+    assert verdict == _reference_phase1(h)
 
 
 # The support-enumeration oracle, kept as the reference for the

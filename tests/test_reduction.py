@@ -503,6 +503,10 @@ def test_decide_cap_guard_on_hard_unsat_formula() -> None:
         decide_ve01(f, 5453)
     assert exc.value.kind == "search nodes"
     assert exc.value.cap == 5453
+    assert str(exc.value) == (
+        "search nodes cap 5453 exceeded "
+        "(searched 5453 nodes, no long cycle completed)"
+    )
 
 
 def test_decide_report_text() -> None:
