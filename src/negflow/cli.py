@@ -57,8 +57,9 @@ def _build_parser() -> argparse.ArgumentParser:
             type=int,
             default=DEFAULT_ORACLE_CAP,
             help="work cap of the one oracle run on P: one unit per ray a row's "
-            "cut evaluates, per ray an adjacency scan reads and per tableau "
-            f"entry a phase-1 pivot computes (default {DEFAULT_ORACLE_CAP})",
+            "cut evaluates, per ray an adjacency scan reads, per entry of each "
+            "new ray and per tableau entry a phase-1 pivot rewrites "
+            f"(default {DEFAULT_ORACLE_CAP})",
         )
 
     p = sub.add_parser("vertices", help="vertices from negative cycles")
@@ -221,19 +222,13 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _run(args)
-    except ParseError as exc:
+    except (ParseError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CapExceeded as exc:
         hint = "--max-oracle" if exc.kind.startswith("oracle") else "--max-cycles"
         print(f"error: {exc}; raise {hint}", file=sys.stderr)
         return 3
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except NegflowError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

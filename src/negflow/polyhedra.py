@@ -7,9 +7,10 @@ one equality row at a time. One run yields a polyhedron's vertices and its
 extreme directions (on P, the vertices of P'). An H-representation holds
 integer rows, its weight row scaled once by the LCM of the weight
 denominators. One fraction-free pivot serves the vertex certifier and
-phase 1. Row evaluations, adjacency scans and phase-1 pivots are all
-charged to one work budget. The oracle is deliberately independent of the
-cycle-based characterization it is used to validate.
+phase 1, whose tableau has no artificial columns. Row evaluations,
+adjacency scans, new rays and phase-1 row rewrites share one work budget.
+The oracle is deliberately independent of the cycle-based
+characterization it is used to validate.
 """
 from __future__ import annotations
 
@@ -21,15 +22,14 @@ from .errors import NegflowError, _Budget
 from .graph import ArcVector, WeightedDigraph, _scaled, sorted_points
 
 # Work units: 1 per ray a row's cut evaluates, 1 per ray a pair test's
-# adjacency scan reads and 1 per tableau entry a phase-1 pivot computes.
-# One run on P peaks at 2,924 units on the seed-1 and seed-2 `verify-oracle`
-# pools (m <= 10) and at 38,993 on their 20-arc `directions-dense` graphs.
-# On a 2-core x86 VM with Python 3.11 the double description spends 10-14 M
-# units/s on 13-34-arc random graphs and 1-2 M on rings (dense rays), and
-# phase 1 9-13 M and 23-33 M: the cap ends every run measured within 1 s.
-# The 400-node ring with one weight -1 arc and 399 weight-0 arcs spends
-# 160,402 units in the double description and 402 x 802 per phase-1 pivot,
-# so it stops before its third pivot, after 0.1-0.15 s.
+# adjacency scan reads, m + 1 per ray a pair builds and n + 1 per tableau
+# row a phase-1 pivot rewrites. One run on P peaks at 1,646 units on the
+# seed-1 and seed-2 `verify-oracle` pools (m <= 10) and at 41,708 on their
+# 20-arc `directions-dense` graphs. On a 2-core x86 VM with Python 3.11 the
+# double description spends 9-10 M units/s on 13-34-arc random graphs and
+# 4-5 M on rings (dense rays), phase 1 5-6 M and 14-17 M. So at this cap
+# rings with one weight -1 arc answer up to 100 nodes (0.05 s) and stop
+# from 200 nodes on, the 1,500-node one after 0.3 s.
 DEFAULT_ORACLE_CAP = 2**20
 
 
@@ -153,8 +153,9 @@ def oracle_vertices(h: HRep, cap: int = DEFAULT_ORACLE_CAP) -> VertexSet:
     cross-checks both sets, or raises `NegflowError`: the rows are feasible
     iff there is a vertex (``y >= 0`` makes the polyhedron pointed), the
     recession slice iff a direction. The one ``"oracle work"`` budget is
-    charged 1 per ray a cut evaluates, 1 per ray an adjacency scan reads
-    and 1 per tableau entry each phase-1 pivot computes.
+    charged 1 per ray a cut evaluates, 1 per ray an adjacency scan reads,
+    ``m + 1`` per ray a pair builds and ``m + 1`` per tableau row each
+    phase-1 pivot rewrites.
     """
     budget = _Budget("oracle work", cap)
     m = h.dimension
@@ -173,16 +174,17 @@ def oracle_vertices(h: HRep, cap: int = DEFAULT_ORACLE_CAP) -> VertexSet:
                 continue
             for q, q_mask, r in negative:
                 common = p_mask & q_mask
-                read = 0
+                units = 0
                 for v, mask in rays:
                     if v is p or v is q:
                         continue
-                    read += 1
+                    units += 1
                     if mask & common == common:
                         break
                 else:
                     kept.append((_combine(s, q, r, p), common))
-                budget.spend(read)
+                    units += m + 1
+                budget.spend(units)
         rays = kept
     points, directions = [], []
     for v, _ in rays:
@@ -218,32 +220,27 @@ def oracle_certifies_vertex(h: HRep, y: ArcVector) -> bool:
 def _phase1_feasible(rows: Sequence[Sequence[int]], n: int, budget: _Budget) -> bool:
     """Exact phase-1 simplex with Bland's rule on the integer equalities
     ``coeffs + [rhs]`` over ``n`` columns: is the polyhedron nonempty?
-    Each pivot spends one unit of ``budget`` per tableau entry it computes.
 
-    The tableau stays integer under the fraction-free `_pivot`. Every pivot
-    is positive, so each entry keeps the sign of its rational counterpart,
-    and ratios are compared by cross-multiplication. Rows ``0 = 0``, one per
-    isolated node, are dropped: each would cost an artificial column."""
+    The tableau is the rows, signed to nonnegative right-hand sides (column
+    ``n``), and the objective row. Artificials get no columns: row ``i``'s
+    is basis index ``n + i`` for Bland's tie-break, and once it leaves it
+    need never enter again. Every fraction-free `_pivot` is positive, so
+    entries keep their rational counterparts' signs, and ratios are compared
+    by cross-multiplication. A pivot spends ``n + 1`` per row it rewrites:
+    every other row if the pivot value changes, else those with a nonzero
+    in the entering column. Rows ``0 = 0``, one per isolated node, go."""
     rows = [row for row in rows if any(row)]
     m = len(rows)
     if m == 0:
         return True
-    width = n + m
-    tableau: list[list[int]] = []
-    for i, row in enumerate(rows):
-        sign = -1 if row[-1] < 0 else 1
-        entries = [sign * c for c in row[:n]] + [0] * m + [sign * row[-1]]
-        entries[n + i] = 1
-        tableau.append(entries)
-    basis = list(range(n, width))
+    tableau = [[-x for x in row] if row[-1] < 0 else list(row) for row in rows]
+    basis = list(range(n, n + m))
     # Phase-1 objective (reduced costs for minimizing the artificial sum),
     # carried as the last row and left out of the ratio test.
-    z = [sum(col) for col in zip(*tableau)]
-    z[n:width] = [0] * m
-    tableau.append(z)
+    tableau.append([sum(col) for col in zip(*tableau)])
     prev = 1
     while True:
-        entering = next((j for j in range(width) if tableau[m][j] > 0), None)
+        entering = next((j for j in range(n) if tableau[m][j] > 0), None)
         if entering is None:
             break
         leaving = -1
@@ -254,14 +251,16 @@ def _phase1_feasible(rows: Sequence[Sequence[int]], n: int, budget: _Budget) -> 
             if leaving < 0:
                 leaving = i
                 continue
-            lhs = tableau[i][width] * tableau[leaving][entering]
-            rhs = tableau[leaving][width] * a
+            lhs = tableau[i][n] * tableau[leaving][entering]
+            rhs = tableau[leaving][n] * a
             if lhs < rhs or (lhs == rhs and basis[i] < basis[leaving]):
                 leaving = i
         if leaving < 0:
             raise NegflowError("phase-1 objective unbounded")
-        budget.spend((m + 1) * (width + 1))
+        p = tableau[leaving][entering]
+        rewritten = m if p != prev else sum(1 for row in tableau if row[entering]) - 1
+        budget.spend((n + 1) * rewritten)
         _pivot(tableau, leaving, entering, prev)
-        prev = tableau[leaving][entering]
+        prev = p
         basis[leaving] = entering
-    return tableau[m][width] == 0
+    return tableau[m][n] == 0

@@ -48,9 +48,9 @@ from negflow.reduction import (
 
 CYCLE_CAP = 2**20
 # Oracle work, phase 1 included: criterion 1's runs on P and P' of the
-# 205-graph corpus peak at 16,409 units, and the corollary check's runs on
-# the 174 small reduction graphs at 3,783,432 (110,180 of them in phase 1),
-# 2.6x below this cap.
+# 205-graph corpus peak at 11,184 units, and the corollary check's runs on
+# the 174 small reduction graphs at 3,948,380 (15,456 of them in phase 1),
+# 2.5x below this cap.
 ORACLE_CAP = 10**7
 
 SAT_3VAR_3CLAUSE = "p cnf 3 3\n1 2 -3 0\n1 -2 3 0\n-1 2 -3 0\n"

@@ -126,8 +126,8 @@ def test_verify_fig3_k2_counts() -> None:
 
 
 def test_verify_on_isolated_nodes_stays_small(peak_bytes) -> None:
-    # 4,999 isolated nodes and a loop: every flow row is 0 = 0. Phase 1 with
-    # an artificial column per row would build a 5,000 x 10,000 tableau.
+    # 4,999 isolated nodes and a loop: every flow row is 0 = 0, and the
+    # oracle and phase 1 drop them all before they build anything per row.
     g = parse_graph("p 5000 1\na 1 1 -1\n")
     report, peak = peak_bytes(lambda: verify_theorem1(g))
     assert report.all_match
@@ -256,12 +256,13 @@ def graphs(draw: st.DrawFn) -> WeightedDigraph:
     return _arcs(n, *arcs)
 
 
-# The oracle cap bounds row evaluations, adjacency-scan reads and phase-1
-# tableau entries of the one run on P. For the strategy above (<= 4 nodes,
-# <= 7 arcs) 100,000 random draws found none above 1,487 units, and
-# hill-climbing searches of 28,000 more graphs none above 2,243. This cap
-# leaves 3.6x headroom over the largest seen.
-STRATEGY_ORACLE_CAP = 2**13
+# The oracle cap bounds row evaluations, adjacency-scan reads, new rays'
+# entries and the phase-1 tableau entries each pivot rewrites, over the one
+# run on P. For the strategy above (<= 4 nodes, <= 7 arcs) 100,000 random
+# draws found none above 815 units, and hill-climbing searches of 28,000
+# more graphs none above 931. This cap leaves 4.4x headroom over the
+# largest seen.
+STRATEGY_ORACLE_CAP = 2**12
 
 
 # A digon weighing 1/3 - 1/2 sharing arc 0->1 with a triangle weighing
@@ -417,9 +418,9 @@ def _theorem1_family() -> list[WeightedDigraph]:
 
 
 # On this family the largest oracle run (P of the 7-node, 34-arc random
-# graph) takes 8,197,757 units, 4,241 of them in phase 1 (at most 10,216
-# on any graph here); 2^24 leaves 2.0x headroom, so the family runs to the
-# end while an oracle that grew several-fold would abort loudly. The family
+# graph) takes 8,508,201 units, 1,890 of them in phase 1 (at most 3,978 on
+# any graph here); 2^24 leaves 2.0x headroom, so the family runs to the end
+# while an oracle that grew several-fold would abort loudly. The family
 # takes about 7 s; its budget is 30 s on a 2-core VM.
 THEOREM1_ORACLE_CAP = 2**24
 

@@ -472,13 +472,15 @@ def test_cap_exceeded_exits_3(fig3: Path, capsys: pytest.CaptureFixture[str]) ->
 
 
 def test_oracle_cap_hint(fig3: Path, capsys: pytest.CaptureFixture[str]) -> None:
-    # The oracle spends 575 units on P of the k = 1 Fig. 3 graph: 67 in the
-    # double description, then 508 in phase 1's pivots (two on P's 6 x 12
-    # tableau, four on the recession slice's 7 x 13 one).
-    assert main(["oracle", str(fig3), "--max-oracle", "574"]) == 3
+    # The oracle spends 319 units on P of the k = 1 Fig. 3 graph: 137 in the
+    # double description (67 evaluations and scan reads, 10 new rays of 7
+    # entries), then 182 in phase 1. P's 5 rows over 6 columns take two
+    # pivots that rewrite 3 and 5 rows of 7 entries (56); the recession
+    # slice's 6 take four that rewrite 4, 4, 4 and 6 (126).
+    assert main(["oracle", str(fig3), "--max-oracle", "318"]) == 3
     err = capsys.readouterr().err
-    assert err == "error: oracle work cap 574 exceeded; raise --max-oracle\n"
-    assert main(["oracle", str(fig3), "--max-oracle", "575"]) == 0
+    assert err == "error: oracle work cap 318 exceeded; raise --max-oracle\n"
+    assert main(["oracle", str(fig3), "--max-oracle", "319"]) == 0
 
 
 # Every capped stage rejects a cap below 1 the same way, from its one work

@@ -152,33 +152,41 @@ def test_oracle_cap() -> None:
     # With no rows nothing cuts the 31 starting unit rays of (y, t), so they
     # are the answer at 0 units: t gives the orthant's one vertex, the
     # origin, and the 30 others its edges. Phase 1 on P has no rows either;
-    # on the recession slice it makes one pivot on a 2 x 32 tableau (the
-    # row of ones, the objective; 30 columns, one artificial, the rhs):
-    # 64 units.
+    # on the recession slice (the row of ones) it makes one pivot of value
+    # 1, the starting divisor, so it rewrites only the objective row's 31
+    # entries: 31 units.
     with pytest.raises(CapExceeded) as exc:
-        oracle_vertices(HRep(30, ()), 63)
+        oracle_vertices(HRep(30, ()), 30)
     assert exc.value.kind == "oracle work"
-    result = oracle_vertices(HRep(30, ()), 64)
+    result = oracle_vertices(HRep(30, ()), 31)
     assert [p.entries for p in result.points] == [(0,) * 30]
     assert {d.items for d in result.directions} == {((j, 1),) for j in range(30)}
-    # An 8-node, 30-arc graph that needs 1,377,747 units (1,370,786 in the
-    # double description, 6,961 in phase 1): the cap aborts it loudly
-    # instead of returning the vertices found so far.
+    # An 8-node, 30-arc graph that needs 1,462,670 units (1,459,880 in the
+    # double description, new rays included, and 2,790 in phase 1): the cap
+    # aborts it loudly instead of returning the vertices found so far.
     with pytest.raises(CapExceeded) as exc:
         oracle_vertices(build_P(gen_random(8, 30, (-3, 3), 0)), 2**20)
     assert exc.value.kind == "oracle work"
 
 
-def test_default_cap_bounds_phase_1_on_a_ring() -> None:
-    # 400 nodes, one weight -1 arc and 399 weight-0 arcs: the double
-    # description spends 160,402 units and each phase-1 pivot 402 x 802
-    # more, so the default cap stops the run before its third pivot. Phase 1
-    # ran to the end in about 4 s when it was not charged.
-    n = 400
+# Rings with one weight -1 arc and n - 1 weight-0 arcs. Phase 1's pivots
+# mostly keep p = 1 and rewrite the few rows with a nonzero in the entering
+# column, so the 63- and 100-node rings answer within the default cap (at
+# 161,218 and 590,751 units). From 200 nodes the cap stops the run: in
+# phase 1 up to 400 nodes, in the double description's dense rays beyond.
+@pytest.mark.parametrize(
+    "n, answers",
+    [(50, True), (63, True), (100, True), (200, False), (400, False),
+     (1000, False), (1500, False)],
+)
+def test_default_cap_bounds_phase_1_on_a_ring(n: int, answers: bool) -> None:
     ring = _arcs(n, *((i, (i + 1) % n, -1 if i == 0 else 0) for i in range(n)))
     start = time.perf_counter()
-    with pytest.raises(CapExceeded):
-        oracle_vertices(build_P(ring))
+    if answers:
+        assert len(oracle_vertices(build_P(ring)).points) == 1
+    else:
+        with pytest.raises(CapExceeded):
+            oracle_vertices(build_P(ring))
     assert time.perf_counter() - start < 1.0
 
 
@@ -237,26 +245,26 @@ RATIONAL_WEIGHTS = _arcs(
 )
 
 
-# The oracle cap bounds row evaluations, adjacency-scan reads and phase-1
-# tableau entries. For the strategy above (<= 4 nodes, <= 7 arcs) 100,000
-# random draws found no run on P above 1,487 units (at most 391 of them in
-# the double description), and 100,000 `hreps()` draws none above 1,416.
-# Hill-climbing searches of 28,000 more runs each found none above 2,243
-# on P or 2,309 on an H-rep: this cap leaves 3.5x headroom over the
-# largest seen.
-STRATEGY_ORACLE_CAP = 2**13
+# The oracle cap bounds row evaluations, adjacency-scan reads, new rays'
+# entries and the phase-1 tableau entries each pivot rewrites. For the
+# strategy above (<= 4 nodes, <= 7 arcs) 100,000 random draws found no run
+# on P above 815 units, and 100,000 `hreps()` draws none above 734.
+# Hill-climbing searches of 28,000 more runs each found none above 931 on P
+# or 895 on an H-rep: this cap leaves 4.4x headroom over the largest seen.
+STRATEGY_ORACLE_CAP = 2**12
 
 
 # Three weight-0 loops at node 0, two weight -1 arcs 0->1 and two weight-0
-# arcs 1->0: 2^7 supports, but the oracle on P spends 220 units. Node 0's
+# arcs 1->0: 2^7 supports, but the oracle on P spends 184 units. Node 0's
 # row evaluates the 8 unit rays (8 units) and keeps the loops and t; each
-# of its four (+, -) pairs scans the 6 other rays (24) and adds a digon.
-# Node 1's row is zero on all 8 rays (8), so it cuts nothing. The weight
-# row evaluates them (8) and pairs t with each digon, scanning 6 rays each
-# (24): four vertices, and the three loops as directions. That is 72 units
-# of double description. Phase 1 then makes two pivots on P's 4 x 11
-# tableau (3 rows and the objective; 7 columns, 3 artificials, the rhs;
-# 88 units) and one on the recession slice's 5 x 12 tableau (60 units).
+# of its four (+, -) pairs scans the 6 other rays (24) and builds a digon
+# of 8 entries (32). Node 1's row is zero on all 8 rays (8), so it cuts
+# nothing. The weight row evaluates them (8) and pairs t with each digon,
+# scanning 6 rays (24) and building 8 entries (32) each: four vertices,
+# and the three loops as directions. That is 136 units of double
+# description. Phase 1 then pivots twice on P's 3 rows, rewriting 3 and 2
+# rows of 8 entries (7 columns and the rhs; 40 units), and once on the
+# recession slice's 4, rewriting only the objective row (8 units).
 LOOPY_MULTIGRAPH = _arcs(
     2,
     (0, 0, 0), (0, 0, 0), (0, 0, 0),
@@ -267,9 +275,9 @@ LOOPY_MULTIGRAPH = _arcs(
 
 def test_oracle_work_cap() -> None:
     with pytest.raises(CapExceeded) as exc:
-        oracle_vertices(build_P(LOOPY_MULTIGRAPH), 219)
+        oracle_vertices(build_P(LOOPY_MULTIGRAPH), 183)
     assert exc.value.kind == "oracle work"
-    assert len(oracle_vertices(build_P(LOOPY_MULTIGRAPH), 220).points) == 4
+    assert len(oracle_vertices(build_P(LOOPY_MULTIGRAPH), 184).points) == 4
 
 
 @settings(max_examples=60, deadline=None)
@@ -533,10 +541,16 @@ def test_certifier_matches_fraction_reference(case: tuple[HRep, list[int]]) -> N
         assert oracle_certifies_vertex(h, point) == expected
 
 
+# On the last two H-reps, Bland's rule over every column (as in the
+# reference) pivots an artificial back into the basis. Phase 1 lets only
+# real columns enter and must still find the first feasible and the
+# second infeasible.
 @settings(max_examples=300, deadline=None)
 @given(hreps())
 @example(build_P(RATIONAL_WEIGHTS))
 @example(build_P_prime(RATIONAL_WEIGHTS))
+@example(HRep(2, ((2, -2, 1), (-2, 0, -2), (1, -2, 0))))
+@example(HRep(3, ((-1, 2, -1, -2), (1, -2, -1, 1), (-2, -1, 1, -2))))
 def test_phase1_matches_fraction_reference(h: HRep) -> None:
     verdict = _phase1_feasible(list(h.rows), h.dimension, _unbounded())
     assert verdict == _reference_phase1(h)
