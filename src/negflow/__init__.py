@@ -10,9 +10,10 @@ Arc weights, the cycle weights of the object API and parsed or printed
 values are `fractions.Fraction`s; the H-representations, the vertex oracle,
 the cycle sums and the arc vectors are integers inside. A cycle's weight is
 an ``int`` over the graph's scale, the LCM of its arc-weight denominators,
-and a 2-cycle's direction is built from the two ints, so the `directions`
-command runs one integer pass from the cycle walk to the printed rows.
-Nothing is floating point.
+and each vertex and direction is a canonical integer row built from those
+ints. So `vertices`, `directions` and `verify_theorem1` each run one
+integer pass from the cycle walk to the printed rows or the comparison
+with the oracle. Nothing is floating point.
 """
 from .characterize import (
     CharacterizationReport,
@@ -21,8 +22,6 @@ from .characterize import (
     direction_from_zero_cycle,
     directions_from_cycles,
     verify_theorem1,
-    vertex_from_cycle,
-    vertices_from_negative_cycles,
 )
 from .cycles import (
     Cycle,
@@ -31,7 +30,6 @@ from .cycles import (
     TwoCycleShape,
     decompose_circulation,
     enumerate_cycles,
-    enumerate_two_cycles,
     is_two_cycle,
 )
 from .errors import (
@@ -49,7 +47,6 @@ from .graph import (
     parse_arc_vector,
     parse_graph,
     serialize_graph,
-    subgraph,
 )
 from .polyhedra import (
     DEFAULT_ORACLE_CAP,
@@ -57,7 +54,6 @@ from .polyhedra import (
     VertexSet,
     build_P,
     build_P_prime,
-    oracle_certifies_vertex,
     oracle_vertices,
 )
 from .reduction import (
@@ -109,20 +105,15 @@ __all__ = [
     "direction_from_zero_cycle",
     "directions_from_cycles",
     "enumerate_cycles",
-    "enumerate_two_cycles",
     "gen_fig1",
     "gen_fig3",
     "gen_random",
     "is_two_cycle",
-    "oracle_certifies_vertex",
     "oracle_vertices",
     "parse_arc_vector",
     "parse_dimacs_cnf",
     "parse_graph",
     "serialize_graph",
-    "subgraph",
     "trivial_vertex_family",
     "verify_theorem1",
-    "vertex_from_cycle",
-    "vertices_from_negative_cycles",
 ]

@@ -3,13 +3,14 @@
 Vertices of the weight-(-1) circulation polyhedron are negative cycles
 scaled by -1/weight; extreme directions come from zero cycles scaled by
 1/length and from 2-cycles combined with their (mu, mu') coefficients.
-Each is built straight from arc ids as integer numerators over one
-denominator, so no ``Fraction`` arithmetic runs per entry. The `directions`
-command skips the objects: `_direction_rows` takes the cycles' integer
-weights from the walk to sorted rows, and the public builders wrap the same
-row steps.
-`verify_theorem1` checks both sets against one run of the independent
-oracle on P, which yields its vertices and its extreme directions.
+Each is a canonical row, integer numerators over one denominator, built
+straight from a cycle's arc ids and its integer weight over the graph's
+scale, so no ``Fraction`` is built or summed per entry. The `vertices`,
+`directions` and `verify` commands each walk the cycles once and sort
+their rows by one key. `verify_theorem1` checks both row sets against one
+run of the independent oracle on P, which yields its vertices and its
+extreme directions. `directions_from_cycles` wraps the same direction rows
+for `Cycle` objects.
 """
 from __future__ import annotations
 
@@ -21,10 +22,12 @@ from typing import Iterable, Sequence
 from .cycles import (
     Cycle,
     TwoCycle,
+    TwoCycleShape,
     _two_cycle_pairs,
     _weighted_cycles,
+    # Not called here. The bench tracer's own test checks that it rebinds
+    # this name and restores it.
     enumerate_cycles,
-    enumerate_two_cycles,
 )
 from .graph import ArcVector, WeightedDigraph, _dense_key, sorted_points
 from .polyhedra import (
@@ -36,17 +39,15 @@ from .polyhedra import (
 
 DEFAULT_CYCLE_CAP = 2**16
 
-
-def vertex_from_cycle(g: WeightedDigraph, cycle: Cycle) -> ArcVector:
-    """(-1/w(C)) * chi(C); requires a negative cycle."""
-    num, den = cycle.weight.numerator, cycle.weight.denominator
-    if num >= 0:
-        raise ValueError("vertex construction needs a negative cycle")
-    items = [(i, den) for i in sorted(cycle.arc_ids)]
-    return ArcVector.from_ints(g.arc_count, -num, items)
-
-
 Row = tuple[int, tuple[tuple[int, int], ...]]  # (den, (arc id, num) pairs)
+
+
+def _vertex_row(arc_ids: Sequence[int], w: int, scale: int) -> Row:
+    """(-1/w(C)) * chi(C) as a canonical row, for a cycle of weight
+    ``w / scale < 0``: ``scale / -w`` on each arc, in lowest terms."""
+    common = gcd(w, scale)
+    num = scale // common
+    return -w // common, tuple((i, num) for i in sorted(arc_ids))
 
 
 def _zero_cycle_row(arc_ids: Sequence[int]) -> Row:
@@ -71,18 +72,35 @@ def _two_cycle_row(
     return a * len(arc_ids1) + b * len(arc_ids2), tuple(sorted(nums.items()))
 
 
-def _direction_rows(g: WeightedDigraph, cap: int) -> list[Row]:
-    """The extreme directions as canonical rows in `sorted_points` order,
-    straight from the integer cycle weights: one row per zero cycle and per
-    2-cycle. A row's support holds its cycles and no other (a zero cycle's
-    holds one cycle, a 2-cycle's union exactly its two), so no row repeats.
-    ``cap`` bounds the cycles found and the sign-mixed pairs tested."""
-    cycles, _ = _weighted_cycles(g, cap)
-    rows = [_zero_cycle_row(arc_ids) for arc_ids, w in cycles if not w]
-    for i, j, _ in _two_cycle_pairs(g, cycles, cap):
-        rows.append(_two_cycle_row(*cycles[i], *cycles[j]))
+def _sorted_rows(g: WeightedDigraph, rows: list[Row]) -> list[Row]:
+    """``rows`` sorted in place into `sorted_points` order, as dense ``int``
+    vectors over their common denominator."""
     rows.sort(key=partial(_dense_key, g.arc_count, lcm(*(den for den, _ in rows))))
     return rows
+
+
+def _vertex_rows(
+    g: WeightedDigraph, cycles: Sequence[tuple[Sequence[int], int]], scale: int
+) -> list[Row]:
+    """The vertices as sorted canonical rows, one per negative cycle among
+    ``cycles``, given as (arc ids, weight times ``scale``). A simple cycle
+    is fixed by its arc set, so no row repeats."""
+    return _sorted_rows(g, [_vertex_row(ids, w, scale) for ids, w in cycles if w < 0])
+
+
+def _direction_rows(
+    g: WeightedDigraph,
+    cycles: Sequence[tuple[Sequence[int], int]],
+    pairs: Iterable[tuple[int, int, TwoCycleShape]],
+) -> list[Row]:
+    """The extreme directions as sorted canonical rows: one per zero cycle
+    among ``cycles`` and one per 2-cycle of ``pairs``, the index pairs of
+    `_two_cycle_pairs`. A row's support holds its cycles and no other (a
+    zero cycle's holds one cycle, a 2-cycle's union exactly its two), so no
+    row repeats."""
+    rows = [_zero_cycle_row(ids) for ids, w in cycles if not w]
+    rows += [_two_cycle_row(*cycles[i], *cycles[j]) for i, j, _ in pairs]
+    return _sorted_rows(g, rows)
 
 
 def direction_from_zero_cycle(g: WeightedDigraph, cycle: Cycle) -> ArcVector:
@@ -100,13 +118,6 @@ def direction_from_two_cycle(g: WeightedDigraph, tc: TwoCycle) -> ArcVector:
     p2, q2 = c2.weight.numerator, c2.weight.denominator
     row = _two_cycle_row(c1.arc_ids, p1 * q2, c2.arc_ids, p2 * q1)
     return ArcVector.from_ints(g.arc_count, *row)
-
-
-def vertices_from_negative_cycles(
-    g: WeightedDigraph, cycles: Iterable[Cycle]
-) -> VertexSet:
-    points = {vertex_from_cycle(g, c) for c in cycles if c.weight.numerator < 0}
-    return VertexSet(sorted_points(points))
 
 
 def directions_from_cycles(
@@ -201,20 +212,29 @@ def verify_theorem1(
     oracle_cap: int = DEFAULT_ORACLE_CAP,
 ) -> CharacterizationReport:
     """Exact set comparison of both characterizations against one oracle run
-    on P: its vertices and its directions."""
-    cycles = enumerate_cycles(g, cycle_cap)
-    two_cycles = enumerate_two_cycles(g, cycles, cycle_cap)
-    formula_vertices = vertices_from_negative_cycles(g, cycles)
-    formula_directions = directions_from_cycles(g, cycles, two_cycles)
+    on P: its vertices and its directions. One walk gives the cycles' integer
+    weights; ``cycle_cap`` bounds the cycles found and then the sign-mixed
+    pairs tested, and ``oracle_cap`` the oracle run that follows."""
+    cycles, scale = _weighted_cycles(g, cycle_cap)
+    pairs = _two_cycle_pairs(g, cycles, cycle_cap)
+    formula_vertices = _vertex_set(g, _vertex_rows(g, cycles, scale))
+    formula_directions = _vertex_set(g, _direction_rows(g, cycles, pairs))
     oracle = oracle_vertices(build_P(g), oracle_cap)
+    negative = sum(w < 0 for _, w in cycles)
+    zero = sum(not w for _, w in cycles)
     return CharacterizationReport(
         vertices_match=set(formula_vertices.points) == set(oracle.points),
         directions_match=set(formula_directions.points) == set(oracle.directions),
         formula_vertices=formula_vertices,
         formula_directions=formula_directions,
         oracle=oracle,
-        negative_cycles=sum(1 for c in cycles if c.weight.numerator < 0),
-        zero_cycles=sum(1 for c in cycles if c.weight.numerator == 0),
-        positive_cycles=sum(1 for c in cycles if c.weight.numerator > 0),
-        two_cycles=len(two_cycles),
+        negative_cycles=negative,
+        zero_cycles=zero,
+        positive_cycles=len(cycles) - negative - zero,
+        two_cycles=len(pairs),
     )
+
+
+def _vertex_set(g: WeightedDigraph, rows: list[Row]) -> VertexSet:
+    """Sorted canonical rows as the `VertexSet` they already are in order."""
+    return VertexSet(tuple(ArcVector.from_ints(g.arc_count, *row) for row in rows))

@@ -13,14 +13,15 @@ from .characterize import (
     DEFAULT_CYCLE_CAP,
     _direction_rows,
     _format_row,
+    _vertex_rows,
     format_tagged_point,
     verify_theorem1,
-    vertices_from_negative_cycles,
 )
 from .cycles import (
     TwoCycleShape,
+    _two_cycle_pairs,
+    _weighted_cycles,
     decompose_circulation,
-    enumerate_cycles,
     format_cycle,
 )
 from .errors import CapExceeded, NegflowError, ParseError
@@ -142,14 +143,14 @@ def _run(args: argparse.Namespace) -> int:
         formula = parse_dimacs_cnf(_read_text(args.cnf))
     if "max_cycles" in args and args.max_cycles < 1:
         raise ValueError("cycle cap must be positive")
-    if args.command == "vertices":
-        cycles = enumerate_cycles(g, args.max_cycles)
-        for point in vertices_from_negative_cycles(g, cycles).points:
-            print(format_tagged_point("v", point))
-        return 0
-    if args.command == "directions":
-        rows = _direction_rows(g, args.max_cycles)
-        print("".join(_format_row("d", *row) + "\n" for row in rows), end="")
+    if args.command in ("vertices", "directions"):
+        cycles, scale = _weighted_cycles(g, args.max_cycles)
+        if args.command == "vertices":
+            tag, rows = "v", _vertex_rows(g, cycles, scale)
+        else:
+            pairs = _two_cycle_pairs(g, cycles, args.max_cycles)
+            tag, rows = "d", _direction_rows(g, cycles, pairs)
+        print("".join(_format_row(tag, *row) + "\n" for row in rows), end="")
         return 0
     if args.command == "oracle":
         result = oracle_vertices(build_P(g), args.max_oracle)

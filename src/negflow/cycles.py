@@ -208,22 +208,6 @@ def is_two_cycle(g: WeightedDigraph, c1: Cycle, c2: Cycle) -> TwoCycle | None:
     return None if shape is None else TwoCycle(c1, c2, shape)
 
 
-def enumerate_two_cycles(
-    g: WeightedDigraph, cycles: Sequence[Cycle], cap: int
-) -> tuple[TwoCycle, ...]:
-    """All 2-cycles among ``cycles``, in the order of the given cycles.
-
-    Given the sorted output of ``enumerate_cycles``, that is the order of
-    (negative, positive) canonical arc ids. The cap bounds the number of
-    sign-mixed pairs tested.
-    """
-    signed = [(c.arc_ids, c.weight.numerator) for c in cycles]
-    return tuple(
-        TwoCycle(cycles[i], cycles[j], shape)
-        for i, j, shape in _two_cycle_pairs(g, signed, cap)
-    )
-
-
 def _find_cycle_through(
     g: WeightedDigraph, succ: dict[int, list[tuple[int, int]]], arc_id: int
 ) -> list[int]:

@@ -285,19 +285,3 @@ def characteristic_vector(g: WeightedDigraph, arc_ids: Iterable[int]) -> ArcVect
     """0/1 vector with ones exactly on the given arc set."""
     ids = sorted(set(_check_arc_ids(g, arc_ids)))
     return ArcVector.from_ints(g.arc_count, 1, [(i, 1) for i in ids])
-
-
-def subgraph(g: WeightedDigraph, arc_ids: Iterable[int]) -> WeightedDigraph:
-    """Restriction to an arc set and its incident nodes.
-
-    Nodes are relabeled compactly in increasing original order and arcs
-    renumbered in increasing original id order.
-    """
-    ids = sorted(set(_check_arc_ids(g, arc_ids)))
-    nodes = sorted({g.arcs[i].tail for i in ids} | {g.arcs[i].head for i in ids})
-    remap = {orig: new for new, orig in enumerate(nodes)}
-    arcs = tuple(
-        Arc(pos, remap[g.arcs[i].tail], remap[g.arcs[i].head], g.arcs[i].weight)
-        for pos, i in enumerate(ids)
-    )
-    return WeightedDigraph(len(nodes), arcs)

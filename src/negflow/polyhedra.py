@@ -6,11 +6,11 @@ tolerance anywhere: it starts at the orthant's unit rays and cuts them with
 one equality row at a time. One run yields a polyhedron's vertices and its
 extreme directions (on P, the vertices of P'). An H-representation holds
 integer rows, its weight row scaled once by the LCM of the weight
-denominators. One fraction-free pivot serves the vertex certifier and
-phase 1, whose tableau has no artificial columns. Row evaluations,
-adjacency scans, new rays and phase-1 row rewrites share one work budget.
-The oracle is deliberately independent of the cycle-based
-characterization it is used to validate.
+denominators. Phase 1, whose tableau has no artificial columns, is the one
+driver of the fraction-free pivot. Row evaluations, adjacency scans, new
+rays and phase-1 row rewrites share one work budget. The oracle is
+deliberately independent of the cycle-based characterization it is used to
+validate.
 """
 from __future__ import annotations
 
@@ -27,9 +27,10 @@ from .graph import ArcVector, WeightedDigraph, _scaled, sorted_points
 # seed-1 and seed-2 `verify-oracle` pools (m <= 10) and at 41,708 on their
 # 20-arc `directions-dense` graphs. On a 2-core x86 VM with Python 3.11 the
 # double description spends 9-10 M units/s on 13-34-arc random graphs and
-# 4-5 M on rings (dense rays), phase 1 5-6 M and 14-17 M. So at this cap
-# rings with one weight -1 arc answer up to 100 nodes (0.05 s) and stop
-# from 200 nodes on, the 1,500-node one after 0.3 s.
+# 4-5 M on rings (dense rays), phase 1 5-6 M and 14-17 M. Rings with one
+# weight -1 arc need 1,042,796 units at 122 nodes and 1,067,518 at 123, so
+# at this cap (1,048,576) they answer up to 122 nodes (0.1 s) and stop from
+# 123 nodes on, the 1,500-node one after 0.7 s.
 DEFAULT_ORACLE_CAP = 2**20
 
 
@@ -113,25 +114,6 @@ def _pivot(matrix: list[list[int]], row: int, col: int, prev: int) -> None:
             matrix[r] = [p * a // prev for a in other]
 
 
-def _eliminate(matrix: list[list[int]], columns: Sequence[int]) -> list[int]:
-    """Gauss-Jordan on ``matrix`` in place, pivoting on ``columns`` in order
-    and skipping each column that depends on those before it. Returns the
-    pivot column of each leading row, so its length is the rank of
-    ``columns``: the vertex certifier's support test."""
-    pivots: list[int] = []
-    prev = 1
-    for c in columns:
-        row_at = len(pivots)
-        r = next((r for r in range(row_at, len(matrix)) if matrix[r][c]), None)
-        if r is None:
-            continue
-        matrix[row_at], matrix[r] = matrix[r], matrix[row_at]
-        _pivot(matrix, row_at, c, prev)
-        prev = matrix[row_at][c]
-        pivots.append(c)
-    return pivots
-
-
 def _combine(a: int, v: list[int], b: int, w: list[int]) -> list[int]:
     """``a * v - b * w`` divided by the gcd of its entries."""
     u = [a * x - b * y for x, y in zip(v, w)]
@@ -198,23 +180,6 @@ def oracle_vertices(h: HRep, cap: int = DEFAULT_ORACLE_CAP) -> VertexSet:
     if _phase1_feasible(_recession_slice(rows, m), m, budget) != bool(directions):
         raise NegflowError("phase 1 contradicts the direction enumeration")
     return VertexSet(sorted_points(points), sorted_points(directions))
-
-
-def oracle_certifies_vertex(h: HRep, y: ArcVector) -> bool:
-    """The textbook vertex test: ``y`` solves every row, is nonnegative, and
-    the columns of its support are linearly independent, so it is the one
-    point of the polyhedron with that support."""
-    if len(y) != h.dimension:
-        raise ValueError("vector dimension does not match H-representation")
-    solves = all(
-        sum(row[i] * n for i, n in y.items) == row[-1] * y.den for row in h.rows
-    )
-    support = y.support()
-    return (
-        solves
-        and all(n >= 0 for _, n in y.items)
-        and len(_eliminate([list(row) for row in h.rows], support)) == len(support)
-    )
 
 
 def _phase1_feasible(rows: Sequence[Sequence[int]], n: int, budget: _Budget) -> bool:

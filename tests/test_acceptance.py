@@ -18,24 +18,17 @@ from conftest import record_criterion
 from negflow.characterize import (
     direction_from_two_cycle,
     directions_from_cycles,
-    vertex_from_cycle,
-    vertices_from_negative_cycles,
+    verify_theorem1,
 )
 from negflow.cycles import (
     Cycle,
     decompose_circulation,
     enumerate_cycles,
-    enumerate_two_cycles,
     is_two_cycle,
 )
 from negflow.generators import Lcg, gen_fig3
 from negflow.graph import ArcVector, WeightedDigraph
-from negflow.polyhedra import (
-    build_P,
-    build_P_prime,
-    oracle_certifies_vertex,
-    oracle_vertices,
-)
+from negflow.polyhedra import build_P, build_P_prime, oracle_vertices
 from negflow.reduction import (
     CnfFormula,
     ReductionArtifact,
@@ -45,6 +38,7 @@ from negflow.reduction import (
     parse_dimacs_cnf,
     trivial_vertex_family,
 )
+from references import cycle_vertex, find_two_cycles, oracle_certifies_vertex
 
 CYCLE_CAP = 2**20
 # Oracle work, phase 1 included: criterion 1's runs on P and P' of the
@@ -160,7 +154,7 @@ def _direction_count_meets_bound(
     count = len(zeros) + found
     if count >= bound:
         return True, count, bound
-    count = len(zeros) + len(enumerate_two_cycles(g, negatives + positives, CYCLE_CAP))
+    count = len(zeros) + len(find_two_cycles(g, negatives + positives, CYCLE_CAP))
     return count >= bound, count, bound
 
 
@@ -188,7 +182,7 @@ def corpus_sweep(cnf_corpus: list[CnfFormula]) -> SweepTotals:
 
         if any(c.weight != -1 for c in negatives):
             totals.negative_weight_failures.append(idx)
-        vertex_of = {vertex_from_cycle(g, c): c for c in negatives}
+        vertex_of = {cycle_vertex(g, c): c for c in negatives}
         vertices = set(vertex_of)
         if any(e != 0 and e != 1 for v in vertices for e in v.entries):
             totals.zero_one_failures.append(idx)
@@ -218,7 +212,7 @@ def corpus_sweep(cnf_corpus: list[CnfFormula]) -> SweepTotals:
                 break
 
         if m == 1:
-            two_cycles = enumerate_two_cycles(g, cycles, CYCLE_CAP)
+            two_cycles = find_two_cycles(g, cycles, CYCLE_CAP)
             count = len(directions_from_cycles(g, cycles, two_cycles).points)
             bound = max(len(positives), len(negatives)) + len(zeros)
             totals.single_clause_rows.append(
@@ -245,16 +239,11 @@ def test_criterion_1_characterization_matches_oracle(
     mismatches = []
     separate_run_mismatches = []
     for idx, g in enumerate(graph_corpus):
-        cycles = enumerate_cycles(g, CYCLE_CAP)
-        two_cycles = enumerate_two_cycles(g, cycles, CYCLE_CAP)
-        formula_v = vertices_from_negative_cycles(g, cycles)
-        formula_d = directions_from_cycles(g, cycles, two_cycles)
-        oracle = oracle_vertices(build_P(g), ORACLE_CAP)
-        if set(formula_v.points) != set(oracle.points) or set(
-            formula_d.points
-        ) != set(oracle.directions):
+        report = verify_theorem1(g, CYCLE_CAP, ORACLE_CAP)
+        if not report.all_match:
             mismatches.append(idx)
-        if oracle_vertices(build_P_prime(g), ORACLE_CAP).points != oracle.directions:
+        prime = oracle_vertices(build_P_prime(g), ORACLE_CAP)
+        if prime.points != report.oracle.directions:
             separate_run_mismatches.append(idx)
     elapsed = time.monotonic() - start
     ok = not mismatches and not separate_run_mismatches and elapsed < 300.0
@@ -406,7 +395,7 @@ def test_criterion_5_fig3_counts() -> None:
         negatives = sum(1 for c in cycles if c.weight < 0)
         positives = sum(1 for c in cycles if c.weight > 0)
         zeros = len(cycles) - negatives - positives
-        pairs = len(enumerate_two_cycles(g, cycles, CYCLE_CAP))
+        pairs = len(find_two_cycles(g, cycles, CYCLE_CAP))
         rows.append(f"k={k}: {pairs} two-cycles, {positives} positive")
         if pairs != 2 * k:
             problems.append(f"k={k}: {pairs} two-cycles, want {2 * k}")
@@ -441,7 +430,7 @@ def test_criterion_6_coefficient_identities(
     bad = 0
     for g in list(graph_corpus) + [gen_fig3(4)]:
         prime = None
-        for tc in enumerate_two_cycles(g, enumerate_cycles(g, CYCLE_CAP), CYCLE_CAP):
+        for tc in find_two_cycles(g, enumerate_cycles(g, CYCLE_CAP), CYCLE_CAP):
             checked += 1
             if prime is None:
                 prime = build_P_prime(g)

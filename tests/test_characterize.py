@@ -16,17 +16,10 @@ from negflow.characterize import (
     format_point,
     format_tagged_point,
     verify_theorem1,
-    vertex_from_cycle,
-    vertices_from_negative_cycles,
 )
 from negflow import cycles as cycles_module
 from negflow.cli import main
-from negflow.cycles import (
-    Cycle,
-    TwoCycleShape,
-    enumerate_cycles,
-    enumerate_two_cycles,
-)
+from negflow.cycles import TwoCycleShape, enumerate_cycles
 from negflow.generators import gen_fig1, gen_fig3, gen_random
 from negflow.graph import Arc, ArcVector, WeightedDigraph, parse_graph, serialize_graph
 from negflow.polyhedra import (
@@ -34,10 +27,16 @@ from negflow.polyhedra import (
     VertexSet,
     build_P,
     build_P_prime,
-    oracle_certifies_vertex,
     oracle_vertices,
 )
 from negflow.reduction import decide_ve01, parse_dimacs_cnf
+from references import (
+    dense_directions,
+    dense_line,
+    dense_vertices,
+    find_two_cycles,
+    oracle_certifies_vertex,
+)
 
 TRIANGLE = parse_graph("p 3 3\na 1 2 -1\na 2 3 -1\na 3 1 -1\n")
 DIGON = parse_graph("p 2 2\na 1 2 -1/2\na 2 1 -1/2\n")
@@ -45,29 +44,30 @@ DIGON = parse_graph("p 2 2\na 1 2 -1/2\na 2 1 -1/2\n")
 
 def _directions(g: WeightedDigraph, cap: int) -> VertexSet:
     cycles = enumerate_cycles(g, cap)
-    return directions_from_cycles(g, cycles, enumerate_two_cycles(g, cycles, cap))
+    return directions_from_cycles(g, cycles, find_two_cycles(g, cycles, cap))
+
+
+def _vertices(g: WeightedDigraph) -> list[tuple[Fraction, ...]]:
+    return [p.entries for p in verify_theorem1(g, 10, 2**10).formula_vertices.points]
 
 
 def test_vertex_from_triangle() -> None:
-    c = enumerate_cycles(TRIANGLE, 10)[0]
-    assert vertex_from_cycle(TRIANGLE, c).entries == (Fraction(1, 3),) * 3
+    assert _vertices(TRIANGLE) == [(Fraction(1, 3),) * 3]
 
 
 def test_vertex_from_gadget_digon_is_01() -> None:
-    c = enumerate_cycles(DIGON, 10)[0]
-    assert vertex_from_cycle(DIGON, c).entries == (1, 1)
+    assert _vertices(DIGON) == [(1, 1)]
 
 
 def test_vertex_requires_negative_cycle() -> None:
-    g = parse_graph("p 2 2\na 1 2 1\na 2 1 0\n")
-    c = enumerate_cycles(g, 10)[0]
-    with pytest.raises(ValueError):
-        vertex_from_cycle(g, c)
+    # A zero cycle and a positive one give directions, never vertices.
+    for text in ("p 3 3\na 1 2 1\na 2 3 -1\na 3 1 0\n", "p 2 2\na 1 2 1\na 2 1 0\n"):
+        assert _vertices(parse_graph(text)) == []
 
 
 def test_vertices_empty_without_negative_cycles() -> None:
     g = parse_graph("p 3 3\na 1 2 1\na 2 3 1\na 3 1 1\n")
-    assert vertices_from_negative_cycles(g, enumerate_cycles(g, 10)).points == ()
+    assert _vertices(g) == []
 
 
 def test_direction_from_zero_cycle() -> None:
@@ -90,7 +90,7 @@ def test_edge_disjoint_direction_is_uniform_sixth() -> None:
 
 def test_three_path_direction_identities() -> None:
     g = gen_fig1(TwoCycleShape.THREE_PATH)
-    tc = enumerate_two_cycles(g, enumerate_cycles(g, 100), 100)[0]
+    tc = find_two_cycles(g, enumerate_cycles(g, 100), 100)[0]
     d = direction_from_two_cycle(g, tc)
     assert d.entries == (Fraction(2, 5), Fraction(1, 5), Fraction(1, 5), Fraction(1, 5))
     assert sum(d.entries) == 1
@@ -137,8 +137,8 @@ def test_verify_on_isolated_nodes_stays_small(peak_bytes) -> None:
 def _count_calls(monkeypatch: pytest.MonkeyPatch) -> dict[str, list]:
     """Wrap the Johnson walk, the cycle weighting that drives it and the
     2-cycle test on cycle masks at every negflow name bound to them,
-    recording the arguments of each call. The weighting serves both
-    `enumerate_cycles` and the `directions` command's integer pass."""
+    recording the arguments of each call. The weighting serves
+    `enumerate_cycles`, `verify_theorem1` and the commands' integer passes."""
     calls: dict[str, list] = {
         "_weighted_cycles": [],
         "_two_cycle_shape": [],
@@ -293,59 +293,20 @@ def test_formula_matches_oracle_on_random_graphs(g: WeightedDigraph) -> None:
     assert report.all_match
 
 
-# The dense builders the integer ones replaced, kept as their reference:
-# each vector is a tuple of m Fractions summed coefficient by coefficient,
-# the set dedupes them and they sort by their entries.
-
-
-def _dense_arc_vector(
-    g: WeightedDigraph, terms: list[tuple[Cycle, Fraction]]
-) -> tuple[Fraction, ...]:
-    entries = [Fraction(0)] * g.arc_count
-    for cycle, coeff in terms:
-        for arc_id in cycle.arc_ids:
-            entries[arc_id] += coeff
-    return tuple(entries)
-
-
-def _dense_vertices(g: WeightedDigraph, cycles) -> list[tuple[Fraction, ...]]:
-    return sorted(
-        {_dense_arc_vector(g, [(c, -1 / c.weight)]) for c in cycles if c.weight < 0}
-    )
-
-
-def _dense_directions(
-    g: WeightedDigraph, cycles, two_cycles
-) -> list[tuple[Fraction, ...]]:
-    points = {
-        _dense_arc_vector(g, [(c, Fraction(1, c.length))])
-        for c in cycles
-        if c.weight == 0
-    }
-    for tc in two_cycles:
-        c1, c2 = tc.negative, tc.positive
-        denom = c2.weight * c1.length - c1.weight * c2.length
-        assert (tc.mu, tc.mu_prime) == (c2.weight / denom, -c1.weight / denom)
-        points.add(_dense_arc_vector(g, [(c1, tc.mu), (c2, tc.mu_prime)]))
-    return sorted(points)
-
-
-def _dense_line(entries: tuple[Fraction, ...]) -> str:
-    return " ".join(f"{i} {v}" for i, v in enumerate(entries) if v)
-
-
 @settings(max_examples=150, deadline=None)
 @given(graphs())
 @example(RATIONAL_WEIGHTS)
 @example(LOOPY_MULTIGRAPH)
 def test_integer_vectors_match_dense_reference(g: WeightedDigraph) -> None:
     cycles = enumerate_cycles(g, 2**12)
-    two_cycles = enumerate_two_cycles(g, cycles, 2**12)
-    vertices = _dense_vertices(g, cycles)
-    directions = _dense_directions(g, cycles, two_cycles)
-    oracle = oracle_vertices(build_P(g), STRATEGY_ORACLE_CAP)
+    two_cycles = find_two_cycles(g, cycles, 2**12)
+    vertices = dense_vertices(g, cycles)
+    directions = dense_directions(g, cycles, two_cycles)
+    report = verify_theorem1(g, 2**12, STRATEGY_ORACLE_CAP)
+    oracle = report.oracle
     for got, dense in (
-        (vertices_from_negative_cycles(g, cycles), vertices),
+        (report.formula_vertices, vertices),
+        (report.formula_directions, directions),
         (directions_from_cycles(g, cycles, two_cycles), directions),
         (oracle, vertices),
         (VertexSet(oracle.directions), directions),
@@ -353,21 +314,22 @@ def test_integer_vectors_match_dense_reference(g: WeightedDigraph) -> None:
         assert [p.entries for p in got.points] == dense
         assert list(got.points) == [ArcVector(e) for e in dense]
         assert [hash(p) for p in got.points] == [hash(ArcVector(e)) for e in dense]
-        assert [format_point(p) for p in got.points] == [_dense_line(e) for e in dense]
+        assert [format_point(p) for p in got.points] == [dense_line(e) for e in dense]
 
 
 def test_directions_command_matches_dense_reference(
     tmp_path: Path, capsys: pytest.CaptureFixture[str]
 ) -> None:
-    # The `directions` command builds integer rows straight from the cycle
-    # walk and keeps no set of them: a zero cycle's vector has that one
-    # cycle in its support and a 2-cycle's exactly its two, so no vector
-    # can repeat. 300 seeded multigraphs (1-7 nodes, 0-14 arcs, loops,
-    # parallel arcs, weights over denominators 1-4) check both facts
-    # against the dense builders above, which dedupe by a set.
+    # The `vertices` and `directions` commands build integer rows straight
+    # from the cycle walk and keep no set of them: a vertex's support holds
+    # its one negative cycle, a zero cycle's direction that one cycle and a
+    # 2-cycle's exactly its two, so no vector can repeat. 300 seeded
+    # multigraphs (1-7 nodes, 0-14 arcs, loops, parallel arcs, weights over
+    # denominators 1-4) check both facts against the dense builders, which
+    # dedupe by a set.
     rng = random.Random(21)
     path = tmp_path / "g.graph"
-    lines = 0
+    lines = vertex_lines = 0
     for _ in range(300):
         n = rng.randint(1, 7)
         g = _arcs(
@@ -382,15 +344,20 @@ def test_directions_command_matches_dense_reference(
             ),
         )
         path.write_text(serialize_graph(g))
-        assert main(["directions", str(path)]) == 0
-        out = capsys.readouterr().out
         cycles = enumerate_cycles(g, 2**16)
-        two_cycles = enumerate_two_cycles(g, cycles, 2**16)
-        dense = _dense_directions(g, cycles, two_cycles)
+        two_cycles = find_two_cycles(g, cycles, 2**16)
+        dense = dense_vertices(g, cycles)
+        assert len(dense) == sum(c.weight < 0 for c in cycles)
+        assert main(["vertices", str(path)]) == 0
+        assert capsys.readouterr().out == "".join(f"v {dense_line(e)}\n" for e in dense)
+        vertex_lines += len(dense)
+        dense = dense_directions(g, cycles, two_cycles)
         assert len(dense) == sum(c.weight == 0 for c in cycles) + len(two_cycles)
-        assert out == "".join(f"d {_dense_line(e)}\n" for e in dense)
+        assert main(["directions", str(path)]) == 0
+        assert capsys.readouterr().out == "".join(f"d {dense_line(e)}\n" for e in dense)
         lines += len(dense)
     assert lines > 1000
+    assert vertex_lines > 500
 
 
 def _theorem1_family() -> list[WeightedDigraph]:

@@ -9,7 +9,7 @@ import pytest
 
 from negflow import reduction
 from negflow.cli import main
-from negflow.cycles import enumerate_cycles, enumerate_two_cycles
+from negflow.cycles import _two_cycle_pairs, _weighted_cycles, enumerate_cycles
 from negflow.graph import parse_graph
 from negflow.polyhedra import build_P, oracle_vertices
 from negflow.reduction import build_reduction, decide_ve01, parse_dimacs_cnf
@@ -496,9 +496,9 @@ def test_oracle_cap_hint(fig3: Path, capsys: pytest.CaptureFixture[str]) -> None
             id="enumerate_cycles",
         ),
         pytest.param(
-            lambda g, f: enumerate_two_cycles(g, enumerate_cycles(g, 1), 0),
+            lambda g, f: _two_cycle_pairs(g, _weighted_cycles(g, 1)[0], 0),
             "cap must be positive",
-            id="enumerate_two_cycles",
+            id="_two_cycle_pairs",
         ),
         pytest.param(
             lambda g, f: oracle_vertices(build_P(g), 0),

@@ -13,13 +13,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from negflow.characterize import directions_from_cycles
+from negflow.characterize import directions_from_cycles, verify_theorem1
 from negflow.cycles import (
     Cycle,
     TwoCycleShape,
+    _two_cycle_pairs,
+    _weighted_cycles,
     decompose_circulation,
     enumerate_cycles,
-    enumerate_two_cycles,
     format_cycle,
     is_two_cycle,
     make_cycle,
@@ -32,8 +33,8 @@ from negflow.graph import (
     WeightedDigraph,
     characteristic_vector,
     parse_graph,
-    subgraph,
 )
+from references import find_two_cycles, subgraph
 
 TRIANGLE = parse_graph("p 3 3\na 1 2 -1\na 2 3 -1\na 3 1 -1\n")
 
@@ -235,23 +236,28 @@ def test_two_cycles_and_directions_use_no_fraction_arithmetic(
     )
     cycles = enumerate_cycles(g, 2**10)
     pairs = sum(c.weight < 0 for c in cycles) * sum(c.weight > 0 for c in cycles)
-    two_cycles, pair_calls = fraction_calls(
-        lambda: enumerate_two_cycles(g, cycles, 2**10)
-    )
+    two_cycles = find_two_cycles(g, cycles, 2**10)
     assert (len(cycles), pairs, len(two_cycles)) == (15, 30, 13)
+    # The pair test runs on the walk's integer weights and touches no
+    # Fraction at all.
+    signed, _ = _weighted_cycles(g, 2**10)
+    _, pair_calls = fraction_calls(lambda: _two_cycle_pairs(g, signed, 2**10))
+    assert pair_calls == {}
     points, vector_calls = fraction_calls(
         lambda: directions_from_cycles(g, cycles, two_cycles)
     )
     assert len(points.points) > 2
-    # Signs are read off numerators and a 2-cycle stores no mu or mu', so
-    # the pair tests build no Fraction; vectors are integers only.
-    for calls in (pair_calls, vector_calls):
-        assert set(calls) <= {"__new__", "numerator", "denominator"}
-    assert pair_calls["__new__"] == 0
-    assert vector_calls["__new__"] == 0
+    # A 2-cycle stores no mu or mu', and vectors are integers only.
+    assert set(vector_calls) <= {"numerator", "denominator"}
     reads = ("numerator", "denominator")
-    assert sum(pair_calls[r] for r in reads) <= 2 * len(cycles) + 8 * pairs
     assert sum(vector_calls[r] for r in reads) <= 2 * len(cycles) + 6 * len(two_cycles)
+    # `verify_theorem1` builds no Fraction either: the walk and `build_P`
+    # each read every arc weight's numerator and denominator once, plus its
+    # denominator for the scale, and the rest is integer rows.
+    report, verify_calls = fraction_calls(lambda: verify_theorem1(g))
+    assert report.all_match and report.two_cycles == 13
+    assert set(verify_calls) <= {"numerator", "denominator"}
+    assert sum(verify_calls[r] for r in reads) <= 6 * g.arc_count
     # A pair that is not a 2-cycle builds no Fraction at all.
     c1 = next(c for c in cycles if c.weight < 0)
     c2 = next(c for c in cycles if c.weight > 0 and is_two_cycle(g, c1, c) is None)
@@ -287,7 +293,7 @@ def test_cycle_sign_examples() -> None:
 
 def _two_cycles_of(g: WeightedDigraph):
     cycles = enumerate_cycles(g, 2**10)
-    return cycles, enumerate_two_cycles(g, cycles, 2**12)
+    return cycles, find_two_cycles(g, cycles, 2**12)
 
 
 def test_edge_disjoint_two_cycle_coefficients() -> None:
@@ -386,7 +392,7 @@ def test_two_cycle_matches_union_enumeration(g: WeightedDigraph) -> None:
 
 
 def _two_cycles(g: WeightedDigraph, cap: int):
-    return enumerate_two_cycles(g, enumerate_cycles(g, cap), cap)
+    return find_two_cycles(g, enumerate_cycles(g, cap), cap)
 
 
 def test_two_cycle_count_fig3() -> None:
@@ -408,10 +414,10 @@ def test_two_cycle_pair_cap() -> None:
         w = "-1" if i < 3 else "1"
         lines += [f"a {u} {v} {w}", f"a {v} {u} 0"]
     g = parse_graph("\n".join(lines) + "\n")
-    cycles = enumerate_cycles(g, 8)
-    assert len(enumerate_two_cycles(g, cycles, 9)) == 9
+    cycles, _ = _weighted_cycles(g, 8)
+    assert len(_two_cycle_pairs(g, cycles, 9)) == 9
     with pytest.raises(CapExceeded) as exc:
-        enumerate_two_cycles(g, cycles, 8)
+        _two_cycle_pairs(g, cycles, 8)
     assert exc.value.kind == "two-cycle pairs"
     assert str(exc.value) == "two-cycle pairs cap 8 exceeded (9 pairs)"
 

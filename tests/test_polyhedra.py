@@ -20,9 +20,9 @@ from negflow.polyhedra import (
     _phase1_feasible,
     build_P,
     build_P_prime,
-    oracle_certifies_vertex,
     oracle_vertices,
 )
+from references import oracle_certifies_vertex
 
 TRIANGLE = parse_graph("p 3 3\na 1 2 -1\na 2 3 -1\na 3 1 -1\n")
 DIGON = parse_graph("p 2 2\na 1 2 -1/2\na 2 1 -1/2\n")
@@ -171,13 +171,14 @@ def test_oracle_cap() -> None:
 
 # Rings with one weight -1 arc and n - 1 weight-0 arcs. Phase 1's pivots
 # mostly keep p = 1 and rewrite the few rows with a nonzero in the entering
-# column, so the 63- and 100-node rings answer within the default cap (at
-# 161,218 and 590,751 units). From 200 nodes the cap stops the run: in
-# phase 1 up to 400 nodes, in the double description's dense rays beyond.
+# column, so the 63-, 100- and 122-node rings answer within the default cap
+# of 1,048,576 units (at 161,218, 590,751 and 1,042,796). From 123 nodes
+# (1,067,518 units) the cap stops the run: in phase 1 up to 400 nodes, in
+# the double description's dense rays beyond.
 @pytest.mark.parametrize(
     "n, answers",
-    [(50, True), (63, True), (100, True), (200, False), (400, False),
-     (1000, False), (1500, False)],
+    [(50, True), (63, True), (100, True), (122, True), (123, False),
+     (200, False), (400, False), (1000, False), (1500, False)],
 )
 def test_default_cap_bounds_phase_1_on_a_ring(n: int, answers: bool) -> None:
     ring = _arcs(n, *((i, (i + 1) % n, -1 if i == 0 else 0) for i in range(n)))

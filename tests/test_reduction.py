@@ -16,11 +16,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from negflow.characterize import vertex_from_cycle, vertices_from_negative_cycles
 from negflow.cli import main
 from negflow.cycles import enumerate_cycles
 from negflow.errors import CapExceeded, ParseError
-from negflow.polyhedra import build_P, oracle_certifies_vertex
+from negflow.graph import ArcVector
+from negflow.polyhedra import build_P
 from negflow.reduction import (
     CnfFormula,
     MAX_SAT_VARIABLES,
@@ -31,6 +31,7 @@ from negflow.reduction import (
     parse_dimacs_cnf,
     trivial_vertex_family,
 )
+from references import cycle_vertex, dense_vertices, oracle_certifies_vertex
 
 SAT_3VAR_3CLAUSE = "p cnf 3 3\n1 2 -3 0\n1 -2 3 0\n-1 2 -3 0\n"
 UNSAT_2VAR = "p cnf 2 4\n1 2 0\n-1 2 0\n1 -2 0\n-1 -2 0\n"
@@ -75,7 +76,7 @@ def assert_matches_dense_reference(f: CnfFormula, report: Ve01Report) -> None:
     compared with the trivial family by set algebra on the vectors."""
     art = build_reduction(f)
     cycles = enumerate_cycles(art.graph, 2**16)
-    vertices = vertices_from_negative_cycles(art.graph, cycles).points
+    vertices = [ArcVector(e) for e in dense_vertices(art.graph, cycles)]
     trivial = set(trivial_vertex_family(report.artifact))
     extra = [p for p in vertices if p not in trivial]
     assert report.certificate is None and report.witness is None
@@ -285,7 +286,7 @@ def test_long_cycle_exists_iff_satisfiable() -> None:
     sat = decide_ve01(parse_dimacs_cnf(SAT_3VAR_3CLAUSE), 2**16)
     assert_certificate(sat)
     g = sat.artifact.graph
-    v = vertex_from_cycle(g, sat.certificate)
+    v = cycle_vertex(g, sat.certificate)
     assert set(v.entries) == {0, 1}
     assert v not in trivial_vertex_family(sat.artifact)
     assert oracle_certifies_vertex(build_P(g), v)
@@ -433,9 +434,9 @@ def test_decide_matches_dense_vector_reference(text: str) -> None:
     assert_certificate(report)
     art = report.artifact
     cycles = enumerate_cycles(art.graph, 2**16)
-    vertices = set(vertices_from_negative_cycles(art.graph, cycles).points)
+    vertices = {ArcVector(e) for e in dense_vertices(art.graph, cycles)}
     trivial = set(trivial_vertex_family(art))
-    assert vertex_from_cycle(art.graph, report.certificate) in vertices - trivial
+    assert cycle_vertex(art.graph, report.certificate) in vertices - trivial
     assert report_fields(report)["trivial_is_subset"] == str(trivial <= vertices).lower()
 
 
